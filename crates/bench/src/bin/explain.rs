@@ -28,7 +28,7 @@
 
 use std::path::PathBuf;
 
-use pmem_spec::{Bucket, ProfileReport, System};
+use pmem_spec::{Bucket, ProfileReport, Profiler, System, TraceRecorder};
 use pmemspec_bench::{default_fases, seeds, suite_cores, sweep, BenchArgs, Json};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::DesignKind;
@@ -201,9 +201,9 @@ fn write_traces(dir: &PathBuf, cores: usize, seed: u64) {
     let cfg = SimConfig::asplos21(cores);
     for design in DesignKind::ALL_EXTENDED {
         let program = sweep::lowered_program(benchmark, design, cores, fases, seed);
-        let (_, mut tracer, profile) = System::new(cfg.clone(), program)
+        let (_, _, (profile, mut tracer)) = System::new(cfg.clone(), program)
             .expect("valid experiment")
-            .run_traced_profiled();
+            .run_with((Profiler::default(), TraceRecorder::new(cores)));
         profile.add_counter_tracks(&mut tracer);
         let path = dir.join(format!(
             "trace_{}.json",

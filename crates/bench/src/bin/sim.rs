@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 
 use pmem_spec::spec_buffer::DetectionMode;
-use pmem_spec::{RecoveryPolicy, System};
+use pmem_spec::{RecoveryPolicy, System, TraceRecorder};
 use pmemspec_engine::clock::Duration;
 use pmemspec_engine::config::PmcNetworkOrder;
 use pmemspec_engine::SimConfig;
@@ -174,28 +174,28 @@ fn main() -> ExitCode {
         .with_seed(opts.seed);
     let generated = opts.bench.generate(&params);
     let program = lower_program(opts.design, &generated.program);
-    let mut system = match System::with_options(cfg, program, policy, DetectionMode::EvictionBased)
-    {
+    let cores = cfg.cores;
+    let system = match System::with_options(cfg, program, policy, DetectionMode::EvictionBased) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if opts.trace.is_some() {
-        system = system.with_trace();
-    }
-    let (report, trace) = system.run_traced();
-
-    if let Some(path) = &opts.trace {
-        match std::fs::File::create(path).and_then(|f| trace.write_chrome_trace(f)) {
-            Ok(()) => eprintln!("wrote {} trace events to {path}", trace.len()),
-            Err(e) => {
-                eprintln!("error writing trace: {e}");
-                return ExitCode::FAILURE;
+    let report = match &opts.trace {
+        None => system.run(),
+        Some(path) => {
+            let (report, _, trace) = system.run_with(TraceRecorder::new(cores));
+            match std::fs::File::create(path).and_then(|f| trace.write_chrome_trace(f)) {
+                Ok(()) => eprintln!("wrote {} trace events to {path}", trace.len()),
+                Err(e) => {
+                    eprintln!("error writing trace: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
+            report
         }
-    }
+    };
 
     if opts.json {
         println!("{}", report.to_json());

@@ -29,7 +29,7 @@
 
 use std::path::PathBuf;
 
-use pmem_spec::{Bucket, FaseSpan, SpanReport, System};
+use pmem_spec::{Bucket, FaseSpan, SpanReport, SpanTracer, System, TraceRecorder};
 use pmemspec_bench::{default_fases, seeds, suite_cores, sweep, BenchArgs, Json};
 use pmemspec_engine::stats::Histogram;
 use pmemspec_engine::SimConfig;
@@ -302,9 +302,9 @@ fn write_traces(dir: &PathBuf, cores: usize, seed: u64) {
     for design in DesignKind::ALL_EXTENDED {
         let (program, meta) =
             sweep::lowered_program_with_meta(benchmark, design, cores, fases, seed);
-        let (_, mut tracer, profile, spans) = System::new(cfg.clone(), program)
+        let (_, _, ((profile, spans), mut tracer)) = System::new(cfg.clone(), program)
             .expect("valid experiment")
-            .run_spans_traced(&meta);
+            .run_with((SpanTracer::new(&meta), TraceRecorder::new(cores)));
         profile.add_counter_tracks(&mut tracer);
         spans.add_fase_tracks(&mut tracer);
         let path = dir.join(format!(

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pmem_spec::{run_program, ProfileReport, RunReport, SpanReport, System};
+use pmem_spec::{run_program, ProfileReport, Profiler, RunReport, SpanReport, System};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::abs::AbsProgram;
 use pmemspec_isa::{lower_program, lower_program_with_meta, DesignKind, Program, ProgramMeta};
@@ -324,9 +324,10 @@ pub fn run_point_profiled(
     seed: u64,
 ) -> (RunReport, ProfileReport) {
     let program = lowered_program(benchmark, design, cfg.cores, fases, seed);
-    System::new(cfg.clone(), program)
+    let (report, _, profile) = System::new(cfg.clone(), program)
         .expect("valid experiment")
-        .run_profiled()
+        .run_with(Profiler::default());
+    (report, profile)
 }
 
 /// Like [`run_point_profiled`], but also traces per-FASE spans,

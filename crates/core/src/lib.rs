@@ -20,7 +20,8 @@
 //!   IntelX86-Epoch, DPO, HOPS, StrandWeaver, or PMEM-Spec semantics,
 //!   including misspeculation detection, virtual-power-failure recovery
 //!   (lazy/eager, with §6.3 checkpoint scoping), power-failure simulation
-//!   (`run_until`), and the §7 multi-controller extension;
+//!   (`run_until`), and the §7 multi-controller extension, all on one
+//!   run loop observed through monomorphized [`Probe`]s;
 //! * [`trace`] — Chrome/Perfetto trace export of simulated timelines;
 //! * [`profile`] — cycle accounting (every core cycle attributed to one
 //!   cause bucket) and queue-occupancy time series;
@@ -66,9 +67,11 @@ pub mod strand_buffer;
 pub mod system;
 pub mod trace;
 
-pub use profile::{Bucket, CoreBreakdown, ProfileReport};
+pub use profile::{Bucket, CoreBreakdown, ProfileReport, Profiler};
 pub use report::RunReport;
-pub use span::{FaseSpan, SpanPhase, SpanReport};
+pub use span::{FaseSpan, SpanPhase, SpanReport, SpanTracer};
 pub use spec_buffer::{Detection, DetectionMode, SpecBuffer};
-pub use system::{run_program, BuildSystemError, CrashOutcome, RecoveryPolicy, System};
+pub use system::{
+    run_program, BoundaryLog, BuildSystemError, CrashOutcome, Probe, RecoveryPolicy, System,
+};
 pub use trace::TraceRecorder;

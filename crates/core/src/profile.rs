@@ -29,8 +29,8 @@
 //! join, then up to the drain — the bucket that ends the wait gets the
 //! tail. See DESIGN.md for the full rule table.
 //!
-//! Profiling is opt-in ([`crate::System::with_profiling`] /
-//! [`crate::System::run_profiled`]) and **observes only**: it never
+//! Profiling is opt-in (pass a [`Profiler`] to
+//! [`crate::System::run_with`]) and **observes only**: it never
 //! feeds a timestamp back into the simulation, so a profiled run
 //! produces a byte-identical [`crate::RunReport`] (a differential test
 //! enforces this).
@@ -166,13 +166,14 @@ struct CoreAccount {
     accounted: Cycle,
 }
 
-/// The live accounting state carried by a profiled [`crate::System`].
+/// The cycle-accounting probe: pass `Profiler::default()` to
+/// [`crate::System::run_with`] for a [`ProfileReport`].
 ///
-/// Holds the per-core bucket counters and the occupancy series; the
-/// system calls [`Profiler::to`] at every time-advance point and feeds
-/// occupancy snapshots through [`Profiler::record_samples`]. Consumed
-/// by [`Profiler::finish`] into a [`ProfileReport`].
-#[derive(Debug, Clone)]
+/// Holds the per-core bucket counters and the occupancy series, sized
+/// for the machine when the run starts; the run loop charges every
+/// time-advance point to it and feeds it occupancy snapshots, and the
+/// run's end turns it into the report.
+#[derive(Debug, Clone, Default)]
 pub struct Profiler {
     cores: Vec<CoreAccount>,
     series: Vec<(String, TimeSeries)>,
@@ -213,9 +214,8 @@ impl Profiler {
     }
 
     /// A snapshot of core `idx`'s bucket counters. The span tracer
-    /// diffs snapshots taken at FASE begin/commit: because the
-    /// instrumented loop keeps `accounted == core.time` at every step
-    /// boundary, the diff is an exact, conservation-checked waterfall
+    /// diffs snapshots taken at FASE begin/commit: because the run
+    /// loop keeps `accounted == core.time` at every step boundary, the diff is an exact, conservation-checked waterfall
     /// of the span's wall-cycles.
     pub(crate) fn core_buckets(&self, idx: usize) -> [u64; Bucket::COUNT] {
         self.cores[idx].buckets
@@ -242,7 +242,7 @@ impl Profiler {
     /// [`Bucket::Unattributed`], the gap between its final time and the
     /// machine-wide end to [`Bucket::Idle`], and tallies charges past
     /// the final time as over-attribution.
-    pub(crate) fn finish(
+    pub(crate) fn into_report(
         self,
         design: DesignKind,
         final_times: &[Cycle],
@@ -454,7 +454,7 @@ mod tests {
         p.to(0, Bucket::FenceDrain, Cycle::from_raw(25));
         // Not past the mark: charges nothing.
         p.to(0, Bucket::L1Hit, Cycle::from_raw(20));
-        let r = p.finish(
+        let r = p.into_report(
             DesignKind::PmemSpec,
             &[Cycle::from_raw(25)],
             Cycle::from_raw(30),
@@ -476,7 +476,7 @@ mod tests {
         p.to(1, Bucket::Compute, Cycle::from_raw(12));
         // Core 0 really ran to 10: 6 cycles were missed.
         // Core 1 really ran to 10: 2 cycles were over-charged.
-        let r = p.finish(
+        let r = p.into_report(
             DesignKind::Hops,
             &[Cycle::from_raw(10), Cycle::from_raw(10)],
             Cycle::from_raw(10),
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn json_names_every_bucket() {
         let p = Profiler::new(1, vec!["core0.sq".into()]);
-        let r = p.finish(
+        let r = p.into_report(
             DesignKind::IntelX86,
             &[Cycle::from_raw(8)],
             Cycle::from_raw(8),
@@ -507,7 +507,7 @@ mod tests {
     fn counter_tracks_merge_into_a_trace() {
         let mut p = Profiler::new(1, vec!["pmc0.wq".into()]);
         p.record_samples(Cycle::from_raw(0), &[2]);
-        let r = p.finish(
+        let r = p.into_report(
             DesignKind::Dpo,
             &[Cycle::from_raw(1)],
             Cycle::from_raw(1),
@@ -524,7 +524,7 @@ mod tests {
     fn display_skips_empty_buckets() {
         let mut p = Profiler::new(1, vec![]);
         p.to(0, Bucket::PmRead, Cycle::from_raw(100));
-        let r = p.finish(
+        let r = p.into_report(
             DesignKind::StrandWeaver,
             &[Cycle::from_raw(100)],
             Cycle::from_raw(100),

@@ -21,12 +21,13 @@
 //!   steps through. These drive the nested Perfetto slices.
 //! * **Bucket waterfall** — the span's cycles attributed to the
 //!   profiler's 15 cause [`Bucket`]s, obtained by diffing the profiler's
-//!   per-core bucket counters at span open and close. The instrumented
-//!   run loop keeps the profiler's accounted mark equal to the core's
-//!   clock at every step boundary, so the diff sums *exactly* to the
-//!   span's wall-cycles — every span is a conservation-checked
-//!   waterfall, and summing spans reconciles with the aggregate
-//!   [`crate::ProfileReport`] (tests pin both).
+//!   per-core bucket counters at span open and close. The run loop
+//!   charges every clock advance to the tracer's profiler, whose
+//!   accounted mark therefore equals the core's clock at every step
+//!   boundary, and the diff sums *exactly* to the span's wall-cycles —
+//!   every span is a conservation-checked waterfall, and summing spans
+//!   reconciles with the aggregate [`crate::ProfileReport`] (tests pin
+//!   both).
 //!
 //! Like the profiler, span tracing **observes only**: spans carry
 //! timestamps alongside the timing state and never feed back into it, so
@@ -37,9 +38,9 @@ use std::fmt;
 
 use pmemspec_engine::clock::{Cycle, Duration};
 use pmemspec_engine::stats::Histogram;
-use pmemspec_isa::{DesignKind, FaseId, OpRole, ProgramMeta};
+use pmemspec_isa::{DesignKind, FaseId, OpRole, Program, ProgramMeta};
 
-use crate::profile::Bucket;
+use crate::profile::{Bucket, Profiler};
 use crate::trace::TraceRecorder;
 
 /// Phase-transition entries kept per span; pathological FASEs past the
@@ -201,23 +202,27 @@ impl OpenSpan {
     }
 }
 
-/// The live span-tracing state carried by a [`crate::System`]
-/// (opt-in via [`crate::System::with_span_tracing`]).
+/// The per-FASE span probe: pass it to [`crate::System::run_with`]
+/// (or call [`crate::System::run_spans`]) for the aggregate
+/// [`crate::ProfileReport`] and the [`SpanReport`].
 ///
 /// Holds a copy of each thread's per-op [`OpRole`] table (from the
 /// lowering's [`ProgramMeta`]) so the run loop can classify the op it
 /// just stepped without touching the timing path, one optional open
-/// span per core, and the closed spans.
+/// span per core, the closed spans, and its own [`Profiler`]: each
+/// span's bucket waterfall is a diff of that profiler's counters.
 #[derive(Debug, Clone)]
-pub(crate) struct SpanTracer {
+pub struct SpanTracer {
     roles: Vec<Vec<OpRole>>,
     open: Vec<Option<OpenSpan>>,
     spans: Vec<FaseSpan>,
+    pub(crate) profile: Profiler,
 }
 
 impl SpanTracer {
-    /// A tracer for the program described by `meta`.
-    pub(crate) fn new(meta: &ProgramMeta) -> Self {
+    /// A tracer for the program described by `meta` (from
+    /// [`pmemspec_isa::lower_program_with_meta`]).
+    pub fn new(meta: &ProgramMeta) -> Self {
         let roles: Vec<Vec<OpRole>> = meta
             .threads
             .iter()
@@ -228,6 +233,27 @@ impl SpanTracer {
             roles,
             open: vec![None; cores],
             spans: Vec::new(),
+            profile: Profiler::default(),
+        }
+    }
+
+    /// Checks that the metadata describes `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the thread count or a thread's op count disagrees.
+    pub(crate) fn check_program(&self, program: &Program) {
+        assert_eq!(
+            self.roles.len(),
+            program.thread_count(),
+            "span metadata thread count must match the program"
+        );
+        for (i, roles) in self.roles.iter().enumerate() {
+            assert_eq!(
+                roles.len(),
+                program.thread(i).ops().len(),
+                "span metadata for thread {i} must align with its op stream"
+            );
         }
     }
 
@@ -312,14 +338,15 @@ impl SpanTracer {
         });
     }
 
-    /// Closes the books. All spans must have committed (the simulator
-    /// drains every FASE before ending a run).
-    pub(crate) fn finish(self) -> Vec<FaseSpan> {
+    /// Closes the books: the profiler and the closed spans. All spans
+    /// must have committed (the simulator drains every FASE before
+    /// ending a run).
+    pub(crate) fn into_parts(self) -> (Profiler, Vec<FaseSpan>) {
         debug_assert!(
             self.open.iter().all(Option::is_none),
             "run ended with an open span"
         );
-        self.spans
+        (self.profile, self.spans)
     }
 }
 
@@ -546,7 +573,7 @@ mod tests {
             Cycle::from_raw(40),
             snapshot(&[(Bucket::Issue, 12), (Bucket::FenceDrain, 28)]),
         );
-        let spans = tr.finish();
+        let (_, spans) = tr.into_parts();
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!(s.fase, FaseId(7));
@@ -577,7 +604,7 @@ mod tests {
             Cycle::from_raw(200),
             snapshot(&[(Bucket::MisspecRecovery, 200)]),
         );
-        let spans = tr.finish();
+        let (_, spans) = tr.into_parts();
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!(s.attempts, 2);
@@ -606,7 +633,7 @@ mod tests {
             tr.on_phase(0, phase, Cycle::from_raw(2 + i));
         }
         tr.on_commit(0, Cycle::from_raw(1000), snapshot(&[]));
-        let spans = tr.finish();
+        let (_, spans) = tr.into_parts();
         let s = &spans[0];
         assert_eq!(s.transitions.len(), MAX_TRANSITIONS);
         assert_eq!(s.dropped_transitions, 11);
@@ -617,7 +644,7 @@ mod tests {
         let mut tr = SpanTracer::new(&meta(1));
         tr.on_phase(0, SpanPhase::Body, Cycle::from_raw(5));
         tr.on_abort(0, Cycle::from_raw(6));
-        assert!(tr.finish().is_empty());
+        assert!(tr.into_parts().1.is_empty());
     }
 
     fn span(core: usize, fase: u64, begin: u64, end: u64, buckets: &[(Bucket, u64)]) -> FaseSpan {

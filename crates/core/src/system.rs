@@ -48,31 +48,23 @@ use pmemspec_engine::pagemap::PageMap;
 use pmemspec_engine::stats::Stats;
 use pmemspec_engine::wheel::EventWheel;
 use pmemspec_isa::addr::{Addr, LineAddr, LINE_BYTES, PM_BASE, WORD_BYTES};
-use pmemspec_isa::{DesignKind, LockId, Op, OpRole, Program, ProgramMeta, ValueSrc};
+use pmemspec_isa::{DesignKind, LockId, Op, Program, ProgramMeta, ValueSrc};
 use pmemspec_mem::hierarchy::{AccessKind, CacheHierarchy, ServedFrom};
 use pmemspec_mem::pmc::controller_for;
 use pmemspec_mem::{Dram, MemoryImage, PersistPath, PmController};
 
 use crate::bloom::CountingBloom;
 use crate::persist_buffer::EpochPersistBuffer;
-use crate::profile::{Bucket, ProfileReport, Profiler};
+use crate::profile::{Bucket, ProfileReport};
 use crate::report::RunReport;
-use crate::span::{phase_of, SpanReport, SpanTracer};
+use crate::span::{SpanReport, SpanTracer};
 use crate::spec_buffer::{Detection, DetectionMode, SpecBuffer};
 use crate::strand_buffer::StrandBuffer;
-use crate::trace::TraceRecorder;
 
-/// Charges core `idx` up to `until` in `bucket` when profiling is on.
-///
-/// A free function over the profiler field (not a `System` method) so
-/// call sites inside `match &mut self.machinery` arms borrow only this
-/// one field.
-#[inline]
-fn prof(profiler: &mut Option<Profiler>, idx: usize, bucket: Bucket, until: Cycle) {
-    if let Some(p) = profiler {
-        p.to(idx, bucket, until);
-    }
-}
+mod probe;
+
+use probe::FaseCounts;
+pub use probe::{BoundaryLog, Probe};
 
 /// One hot-path run counter. Incrementing a counter is a single array
 /// add on a dense `[u64; Counter::COUNT]` indexed by discriminant; the
@@ -180,11 +172,22 @@ impl Counter {
 
 /// Bumps one dense counter.
 ///
-/// A free function over the counter array (like [`prof`]) so call sites
+/// A free function over the counter array so call sites
 /// inside `match &mut self.machinery` arms borrow only this one field.
 #[inline]
 fn bump(counters: &mut [u64; Counter::COUNT], c: Counter) {
     counters[c as usize] += 1;
+}
+
+/// When a barrier issued at `t` sees a persist drain completing at
+/// `drained`: if it had to wait, the drain acknowledgment also travels
+/// back over the persist path.
+fn acked(drained: Cycle, t: Cycle, cfg: &SimConfig) -> Cycle {
+    if drained > t {
+        drained + cfg.persist_path_latency
+    } else {
+        drained
+    }
 }
 
 /// Words per cache line (the width of [`LineMeta::commits`]).
@@ -625,9 +628,6 @@ pub struct System {
     stats: Stats,
     /// Dense hot-path counters, folded into `stats` at report time.
     counters: [u64; Counter::COUNT],
-    /// `PMEMSPEC_DEBUG_DETECT`, read once at construction instead of
-    /// per controller event.
-    debug_detect: bool,
     // Ground truth.
     stale_reads: u64,
     inversions: u64,
@@ -639,18 +639,6 @@ pub struct System {
     /// [`pm_line_index`]. Merged into one paged array so each persist
     /// arrival pays a single page walk for all its per-line state.
     line_meta: PageMap<LineMeta>,
-    /// Optional execution trace (Chrome trace export).
-    tracer: Option<TraceRecorder>,
-    /// Optional cycle accounting + occupancy sampling. Observes only:
-    /// no timestamp ever flows from here back into the simulation.
-    profiler: Option<Profiler>,
-    /// Optional log of crash-interesting cycles (persist arrivals plus
-    /// fence/CLWB/checkpoint/FASE-marker execution instants), recorded by
-    /// [`System::run_boundaries`] for crash-point samplers.
-    boundary_log: Option<Vec<Cycle>>,
-    /// Optional per-FASE span tracing (implies `profiler`). Observes
-    /// only, like the profiler.
-    spans: Option<SpanTracer>,
 }
 
 impl System {
@@ -770,7 +758,6 @@ impl System {
                 }
             }
         };
-        assert!(cfg.cores <= 64, "runnable bitmap holds at most 64 cores");
         let cores = (0..cfg.cores)
             .map(|_| CoreState::new(cfg.store_queue))
             .collect();
@@ -795,16 +782,11 @@ impl System {
             policy,
             stats: Stats::new(),
             counters: [0; Counter::COUNT],
-            debug_detect: std::env::var_os("PMEMSPEC_DEBUG_DETECT").is_some(),
             stale_reads: 0,
             inversions: 0,
             persist_order_violations: 0,
             last_core_persist_applied: vec![Cycle::ZERO; cfg.cores],
             line_meta: PageMap::new(EMPTY_LINE_META),
-            tracer: None,
-            profiler: None,
-            boundary_log: None,
-            spans: None,
             cfg,
             program,
         })
@@ -832,19 +814,52 @@ impl System {
         self.events_next = self.events_next.min(time);
     }
 
-    /// The index of the runnable core with the earliest local time.
+    /// Sends core `idx`'s persist of `value` to `addr` (committed at
+    /// `commit`) on its way to the device, arriving at `accepted`.
+    fn push_persist(
+        &mut self,
+        accepted: Cycle,
+        addr: Addr,
+        value: u64,
+        commit: Cycle,
+        spec: SpecTag,
+        idx: usize,
+    ) {
+        self.line_meta.get_mut(pm_line_index(addr.line())).pending += 1;
+        let core = idx as u32;
+        let kind = PmcEventKind::PersistWord {
+            addr,
+            value,
+            commit,
+            spec,
+            core,
+        };
+        self.push_event(accepted, kind);
+    }
+
+    /// The runnable core with the earliest local time (the lowest index
+    /// on a tie), plus the earliest local time among the *other*
+    /// runnable cores (`Cycle::MAX` when the winner is alone). The run
+    /// loop keeps stepping the winner while its time stays strictly
+    /// below that margin — the schedule cannot prefer anyone else until
+    /// then, so the rescan is skipped.
     #[inline]
-    fn next_core(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let mut best_time = Cycle::MAX;
+    fn next_core(&self) -> Option<(usize, Cycle)> {
+        let mut best: Option<(usize, Cycle)> = None;
+        let mut others_min = Cycle::MAX;
         let mut mask = self.runnable;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let t = self.cores[i].time;
-            if best.is_none() || t < best_time {
-                best = Some(i);
-                best_time = t;
+            match best {
+                Some((_, best_time)) if t >= best_time => others_min = others_min.min(t),
+                _ => {
+                    if let Some((_, best_time)) = best {
+                        others_min = others_min.min(best_time);
+                    }
+                    best = Some((i, t));
+                }
             }
         }
         if best.is_none() {
@@ -858,28 +873,7 @@ impl System {
                 "deadlock: {waiting} cores waiting, none runnable"
             );
         }
-        best
-    }
-
-    /// [`System::next_core`], plus the earliest local time among the
-    /// *other* runnable cores (`Cycle::MAX` when the winner is alone).
-    /// The dense run loop keeps stepping the winner while its time stays
-    /// strictly below that margin — the schedule cannot prefer anyone
-    /// else until then, so the full rescan is skipped.
-    #[inline]
-    fn next_core_with_margin(&self) -> Option<(usize, Cycle)> {
-        let best = self.next_core()?;
-        let mut others_min = Cycle::MAX;
-        let mut mask = self.runnable & !(1 << best);
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let t = self.cores[i].time;
-            if t < others_min {
-                others_min = t;
-            }
-        }
-        Some((best, others_min))
+        best.map(|(i, _)| (i, others_min))
     }
 
     /// Raises misspeculation-recovery flags on every core currently inside
@@ -898,29 +892,12 @@ impl System {
 
     fn handle_detections(&mut self, detections: Vec<Detection>) {
         for d in detections {
-            match d {
-                Detection::LoadMisspec { at, line } => {
-                    if self.debug_detect {
-                        eprintln!("load-misspec: {line} at {at}");
-                    }
-                    bump(&mut self.counters, Counter::MisspecLoadDetected);
-                    self.trigger_misspec(at);
-                }
-                Detection::StoreMisspec {
-                    at,
-                    line,
-                    prev_id,
-                    new_id,
-                } => {
-                    if self.debug_detect {
-                        eprintln!(
-                            "store-misspec: line {line} at {at}: prev_id {prev_id} new_id {new_id}"
-                        );
-                    }
-                    bump(&mut self.counters, Counter::MisspecStoreDetected);
-                    self.trigger_misspec(at);
-                }
-            }
+            let (counter, at) = match d {
+                Detection::LoadMisspec { at, .. } => (Counter::MisspecLoadDetected, at),
+                Detection::StoreMisspec { at, .. } => (Counter::MisspecStoreDetected, at),
+            };
+            bump(&mut self.counters, counter);
+            self.trigger_misspec(at);
         }
     }
 
@@ -935,7 +912,7 @@ impl System {
     /// arrival order: persistence lands in the persistent image, and the
     /// speculation buffer sees the request stream.
     #[inline]
-    fn drain_events(&mut self, now: Cycle) {
+    fn drain_events<P: Probe>(&mut self, now: Cycle, probe: &mut P) {
         // Called before every instruction and almost always a no-op:
         // `events_next` is a lower bound on the earliest pending event,
         // so the common case is this one comparison, inlined into the
@@ -943,30 +920,15 @@ impl System {
         if self.events_next > now {
             return;
         }
-        self.drain_ready_events(now);
+        self.drain_ready_events(now, probe);
     }
 
-    fn drain_ready_events(&mut self, now: Cycle) {
+    fn drain_ready_events<P: Probe>(&mut self, now: Cycle, probe: &mut P) {
         while let Some((time, kind)) = self.events.pop_next(now) {
-            if let Some(log) = &mut self.boundary_log {
-                // Persist arrivals are exactly the instants where the
-                // crash-visible image changes.
-                if matches!(
-                    kind,
-                    PmcEventKind::PersistWord { .. } | PmcEventKind::PersistLine { .. }
-                ) {
-                    log.push(time);
-                }
-            }
             match kind {
                 PmcEventKind::WriteBack { line } => {
-                    if self.debug_detect {
-                        eprintln!("WB {line} at {time}");
-                    }
                     bump(&mut self.counters, Counter::PmcWritebackNotices);
-                    if let Some(tr) = &mut self.tracer {
-                        tr.instant("WB", time);
-                    }
+                    probe.written_back(time);
                     let n = self.pmcs.len();
                     if let Machinery::PmemSpec { spec, .. } = &mut self.machinery {
                         let stall = spec[controller_for(line.raw(), n)].on_writeback(line, time);
@@ -974,9 +936,6 @@ impl System {
                     }
                 }
                 PmcEventKind::Read { line } => {
-                    if self.debug_detect {
-                        eprintln!("RD {line} at {time}");
-                    }
                     let meta = self.line_meta.get(pm_line_index(line));
                     if matches!(self.machinery, Machinery::PmemSpec { .. }) {
                         // Ground truth: the fetch returns truly stale data
@@ -1012,6 +971,7 @@ impl System {
                     spec: spec_tag,
                     core,
                 } => {
+                    probe.persisted(time);
                     let core = core as usize;
                     // Ground truth: strict persistency requires each
                     // core's persists to apply in dispatch order, across
@@ -1078,6 +1038,7 @@ impl System {
                     }
                 }
                 PmcEventKind::PersistLine { line } => {
+                    probe.persisted(time);
                     self.image.persist_line_snapshot(line);
                 }
             }
@@ -1096,39 +1057,31 @@ impl System {
     }
 
     fn handle_eviction(&mut self, ev: pmemspec_mem::EvictedLine) {
-        {
-            let arrival = ev.at + self.cfg.llc_to_pmc_latency;
-            match self.machinery {
-                Machinery::IntelX86 => {
-                    // Normal write-back memory: the eviction updates PM.
-                    let ci = controller_for(ev.line.raw(), self.pmcs.len());
-                    let svc = self.pmcs[ci].write(arrival);
-                    self.push_event(svc.accepted, PmcEventKind::PersistLine { line: ev.line });
-                    bump(&mut self.counters, Counter::PmcEvictionWritebacks);
-                }
-                Machinery::Dpo { .. } | Machinery::Hops { .. } => {
-                    // Persist buffers own persistence; the eviction drops.
-                    bump(&mut self.counters, Counter::PmcEvictionsDropped);
-                }
-                Machinery::StrandWeaver { .. } => {
-                    // StrandWeaver writes dirty blocks back before letting
-                    // them leave (Figure 1c), so PM never goes stale.
-                    let ci = controller_for(ev.line.raw(), self.pmcs.len());
-                    let svc = self.pmcs[ci].write(arrival);
-                    self.push_event(svc.accepted, PmcEventKind::PersistLine { line: ev.line });
-                    bump(&mut self.counters, Counter::PmcEvictionWritebacks);
-                }
-                Machinery::PmemSpec { .. } => {
-                    // Dropped, but the controller is notified so the
-                    // speculation buffer can start monitoring (§5.1.4).
-                    self.push_event(arrival, PmcEventKind::WriteBack { line: ev.line });
-                    bump(&mut self.counters, Counter::PmcEvictionsDropped);
-                    // Ground truth: dropped dirty data whose persist is
-                    // still in flight makes a PM fetch of this line stale.
-                    let meta = self.line_meta.get_mut(pm_line_index(ev.line));
-                    if meta.pending > 0 {
-                        meta.dropped = true;
-                    }
+        let arrival = ev.at + self.cfg.llc_to_pmc_latency;
+        match self.machinery {
+            Machinery::IntelX86 | Machinery::StrandWeaver { .. } => {
+                // Normal write-back memory: the eviction updates PM.
+                // StrandWeaver too writes dirty blocks back before
+                // letting them leave (Figure 1c), so PM never goes stale.
+                let ci = controller_for(ev.line.raw(), self.pmcs.len());
+                let svc = self.pmcs[ci].write(arrival);
+                self.push_event(svc.accepted, PmcEventKind::PersistLine { line: ev.line });
+                bump(&mut self.counters, Counter::PmcEvictionWritebacks);
+            }
+            Machinery::Dpo { .. } | Machinery::Hops { .. } => {
+                // Persist buffers own persistence; the eviction drops.
+                bump(&mut self.counters, Counter::PmcEvictionsDropped);
+            }
+            Machinery::PmemSpec { .. } => {
+                // Dropped, but the controller is notified so the
+                // speculation buffer can start monitoring (§5.1.4).
+                self.push_event(arrival, PmcEventKind::WriteBack { line: ev.line });
+                bump(&mut self.counters, Counter::PmcEvictionsDropped);
+                // Ground truth: dropped dirty data whose persist is
+                // still in flight makes a PM fetch of this line stale.
+                let meta = self.line_meta.get_mut(pm_line_index(ev.line));
+                if meta.pending > 0 {
+                    meta.dropped = true;
                 }
             }
         }
@@ -1158,14 +1111,14 @@ impl System {
 
     /// Admits one entry into the core's store queue at `now`, stalling on
     /// a full queue. Returns the admission time.
-    fn sq_admit(&mut self, idx: usize, now: Cycle) -> Cycle {
+    fn sq_admit<P: Probe>(&mut self, idx: usize, now: Cycle, probe: &mut P) -> Cycle {
         let core = &mut self.cores[idx];
         while core.sq.pop_ready(now).is_some() {}
         if core.sq.is_full() {
             bump(&mut self.counters, Counter::CoreSqFullStalls);
             let oldest = core.sq.pop().expect("full queue non-empty").ready;
             let admitted = oldest.max(now);
-            prof(&mut self.profiler, idx, Bucket::SqFull, admitted);
+            probe.charge(idx, Bucket::SqFull, admitted);
             admitted
         } else {
             now
@@ -1174,7 +1127,7 @@ impl System {
 
     /// Admits one load into the core's MSHRs at `now`, stalling when all
     /// are busy. Returns the issue time.
-    fn load_admit(&mut self, idx: usize, now: Cycle) -> Cycle {
+    fn load_admit<P: Probe>(&mut self, idx: usize, now: Cycle, probe: &mut P) -> Cycle {
         let core = &mut self.cores[idx];
         while core.loads.pop_ready(now).is_some() {}
         if core.loads.is_full() {
@@ -1183,7 +1136,7 @@ impl System {
             let issue = oldest.ready.max(now);
             // The stall waits out the oldest in-flight load: charge the
             // level that is serving it.
-            prof(&mut self.profiler, idx, oldest.value, issue);
+            probe.charge(idx, oldest.value, issue);
             issue
         } else {
             now
@@ -1193,14 +1146,14 @@ impl System {
     /// Joins all outstanding loads: the core cannot pass `now` until every
     /// in-flight load has returned. The wait is charged to the level
     /// serving the slowest load.
-    fn join_loads(&mut self, idx: usize, now: Cycle) -> Cycle {
+    fn join_loads<P: Probe>(&mut self, idx: usize, now: Cycle, probe: &mut P) -> Cycle {
         let core = &mut self.cores[idx];
         let slowest = core.loads.iter().max_by_key(|e| e.ready).copied();
         core.loads.clear();
         let done = slowest.map_or(now, |e| e.ready).max(now);
         if let Some(e) = slowest {
             if e.ready > now {
-                prof(&mut self.profiler, idx, e.value, e.ready);
+                probe.charge(idx, e.value, e.ready);
             }
         }
         done
@@ -1209,7 +1162,7 @@ impl System {
     /// Aborts the FASE `idx` is executing: restores pre-images, persists
     /// the restoration, releases held locks, and rewinds to the FASE
     /// begin (§6.2).
-    fn abort_fase(&mut self, idx: usize) {
+    fn abort_fase<P: Probe>(&mut self, idx: usize, probe: &mut P) {
         let t0 = {
             let core = &self.cores[idx];
             core.time.max(core.flag_time)
@@ -1245,24 +1198,14 @@ impl System {
                 let route = ci % paths[idx].len();
                 paths[idx][route].note_backpressure(svc.accepted);
             }
-            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-            self.push_event(
-                svc.accepted,
-                PmcEventKind::PersistWord {
-                    addr,
-                    value: old,
-                    commit: t,
-                    spec: SpecTag::NONE,
-                    core: idx as u32,
-                },
-            );
+            self.push_persist(svc.accepted, addr, old, t, SpecTag::NONE, idx);
         }
         // Release anything held beyond the resume point (eager recovery
         // can abort mid critical section).
         let keep_locks = ck.map_or(0, |(_, _, locks)| locks);
         let held: Vec<LockId> = self.cores[idx].held_locks.split_off(keep_locks);
         for lock_id in held {
-            self.release_lock(lock_id, idx, t);
+            self.release_lock(lock_id, idx, t, probe);
         }
         let core = &mut self.cores[idx];
         core.spec_tag = None;
@@ -1304,10 +1247,10 @@ impl System {
         // Everything the abort consumed — trap, undo-log restoration
         // writes, post-abort quiesce — is recovery overhead.
         let recovered = self.cores[idx].time;
-        prof(&mut self.profiler, idx, Bucket::MisspecRecovery, recovered);
+        probe.charge(idx, Bucket::MisspecRecovery, recovered);
     }
 
-    fn release_lock(&mut self, lock_id: LockId, idx: usize, at: Cycle) {
+    fn release_lock<P: Probe>(&mut self, lock_id: LockId, idx: usize, at: Cycle, probe: &mut P) {
         let lock = self
             .locks
             .get_mut(&lock_id)
@@ -1324,7 +1267,7 @@ impl System {
             let granted_at = waiter.time;
             // The waiter was parked since its Lock instruction: that
             // whole window is time blocked on the lock.
-            prof(&mut self.profiler, next, Bucket::LockWait, granted_at);
+            probe.charge(next, Bucket::LockWait, granted_at);
         } else {
             lock.holder = None;
             lock.granted = false;
@@ -1333,7 +1276,7 @@ impl System {
     }
 
     /// Executes the instruction at `idx`'s program counter.
-    fn step(&mut self, idx: usize) {
+    fn step<P: Probe>(&mut self, idx: usize, probe: &mut P) {
         let thread = self.program.thread(idx);
         let Some(&op) = thread.ops().get(self.cores[idx].pc) else {
             self.cores[idx].status = CoreStatus::Done;
@@ -1345,15 +1288,15 @@ impl System {
         match op {
             Op::Compute { cycles } => {
                 // Compute consumes loaded values: join in-flight loads.
-                let start = self.join_loads(idx, t);
+                let start = self.join_loads(idx, t, probe);
                 let done = start + Duration::from_cycles(cycles as u64);
-                prof(&mut self.profiler, idx, Bucket::Compute, done);
+                probe.charge(idx, Bucket::Compute, done);
                 self.cores[idx].time = done;
                 self.cores[idx].pc += 1;
             }
             Op::Load { addr } => {
                 let line = addr.line();
-                let issue = self.load_admit(idx, t);
+                let issue = self.load_admit(idx, t, probe);
                 let out = self.hierarchy.access(
                     idx,
                     AccessKind::Read,
@@ -1396,7 +1339,7 @@ impl System {
                     .loads
                     .push(completed, load_bucket)
                     .expect("load_admit freed a slot");
-                prof(&mut self.profiler, idx, Bucket::Issue, issue + one);
+                probe.charge(idx, Bucket::Issue, issue + one);
                 self.cores[idx].time = issue + one;
                 self.cores[idx].pc += 1;
             }
@@ -1407,7 +1350,7 @@ impl System {
                     self.cores[idx].shadow.push((addr, old));
                 }
                 self.image.store_volatile(addr, value);
-                let retire = self.sq_admit(idx, t);
+                let retire = self.sq_admit(idx, t, probe);
                 let line = addr.line();
                 let out = self.hierarchy.access(
                     idx,
@@ -1438,8 +1381,10 @@ impl System {
                 let mut next_time = retire + one;
                 if addr.is_pm() {
                     let spec_tag = self.cores[idx].spec_tag;
-                    match &mut self.machinery {
-                        Machinery::IntelX86 => {}
+                    // Where this store's persist goes: (accepted, commit
+                    // stamp, speculation tag).
+                    let persist = match &mut self.machinery {
+                        Machinery::IntelX86 => None,
                         Machinery::Dpo { buffers, token } => {
                             let ci = controller_for(line.raw(), self.pmcs.len());
                             let ins = buffers[idx].insert(
@@ -1453,17 +1398,7 @@ impl System {
                                 next_time = next_time.max(ins.admitted);
                                 bump(&mut self.counters, Counter::DpoBufferFullStalls);
                             }
-                            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-                            self.push_event(
-                                ins.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit,
-                                    spec: SpecTag::NONE,
-                                    core: idx as u32,
-                                },
-                            );
+                            Some((ins.accepted, commit, SpecTag::NONE))
                         }
                         Machinery::Hops { buffers, bloom } => {
                             let ci = controller_for(line.raw(), self.pmcs.len());
@@ -1481,17 +1416,7 @@ impl System {
                                 meta.hops_accept = meta.hops_accept.max(ins.accepted);
                             }
                             meta.hops_pending += 1;
-                            meta.pending += 1;
-                            self.push_event(
-                                ins.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit,
-                                    spec: SpecTag::NONE,
-                                    core: idx as u32,
-                                },
-                            );
+                            Some((ins.accepted, commit, SpecTag::NONE))
                         }
                         Machinery::StrandWeaver { buffers } => {
                             let ci = controller_for(line.raw(), self.pmcs.len());
@@ -1500,17 +1425,7 @@ impl System {
                                 next_time = next_time.max(ins.admitted);
                                 bump(&mut self.counters, Counter::StrandBufferFullStalls);
                             }
-                            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-                            self.push_event(
-                                ins.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit,
-                                    spec: SpecTag::NONE,
-                                    core: idx as u32,
-                                },
-                            );
+                            Some((ins.accepted, commit, SpecTag::NONE))
                         }
                         Machinery::PmemSpec { paths, .. } => {
                             // Dual-issue: the data leaves for the persist
@@ -1536,17 +1451,6 @@ impl System {
                             let delivery = paths[idx][route].send(dispatch);
                             let svc = self.pmcs[ci].write_word(delivery, line.raw());
                             paths[idx][route].note_backpressure(svc.accepted);
-                            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-                            self.push_event(
-                                svc.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit: dispatch,
-                                    spec: SpecTag::new(spec_tag),
-                                    core: idx as u32,
-                                },
-                            );
                             if self.cores[idx].nonspec_retry {
                                 // Pessimistic fallback: wait for
                                 // durability (plus the return ack) before
@@ -1554,10 +1458,14 @@ impl System {
                                 next_time =
                                     next_time.max(svc.accepted + self.cfg.persist_path_latency);
                             }
+                            Some((svc.accepted, dispatch, SpecTag::new(spec_tag)))
                         }
+                    };
+                    if let Some((accepted, commit, spec)) = persist {
+                        self.push_persist(accepted, addr, value, commit, spec, idx);
                     }
                 }
-                prof(&mut self.profiler, idx, Bucket::Issue, retire + one);
+                probe.charge(idx, Bucket::Issue, retire + one);
                 if next_time > retire + one {
                     // The only post-retire bumps are persist-machinery
                     // back-pressure (DPO/HOPS/StrandWeaver full buffers)
@@ -1567,7 +1475,7 @@ impl System {
                         Machinery::PmemSpec { .. } => Bucket::FenceDrain,
                         _ => Bucket::PersistBufferFull,
                     };
-                    prof(&mut self.profiler, idx, bucket, next_time);
+                    probe.charge(idx, bucket, next_time);
                 }
                 self.cores[idx].time = next_time;
                 self.cores[idx].pc += 1;
@@ -1575,7 +1483,7 @@ impl System {
             Op::Clwb { addr } => {
                 match self.machinery {
                     Machinery::IntelX86 => {
-                        let retire = self.sq_admit(idx, t);
+                        let retire = self.sq_admit(idx, t, probe);
                         let out = self
                             .hierarchy
                             .clwb(idx, addr.line(), retire, &mut self.pmcs);
@@ -1598,14 +1506,14 @@ impl System {
                             .sq
                             .push(completed, SqKind::Clwb)
                             .expect("sq_admit freed a slot");
-                        prof(&mut self.profiler, idx, Bucket::Issue, retire + one);
+                        probe.charge(idx, Bucket::Issue, retire + one);
                         self.cores[idx].time = retire + one;
                     }
                     // DPO hardware absorbs the flush hint — the persist
                     // buffer already owns persistence (§3.2: DPO runs
                     // unmodified x86 binaries).
                     _ => {
-                        prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+                        probe.charge(idx, Bucket::Issue, t + one);
                         self.cores[idx].time = t + one;
                     }
                 }
@@ -1627,7 +1535,7 @@ impl System {
                                     SqKind::Clwb => Bucket::Flush,
                                     SqKind::Store => Bucket::FenceDrain,
                                 };
-                                prof(&mut self.profiler, idx, bucket, e.ready);
+                                probe.charge(idx, bucket, e.ready);
                             }
                         }
                         self.cores[idx].time = drained;
@@ -1640,12 +1548,9 @@ impl System {
                         // returning over the path — a constraint TSO does
                         // not actually need, which is why DPO lands below
                         // the baseline.
-                        let mut drained = buffers[idx].drained_at(t);
-                        if drained > t {
-                            drained += self.cfg.persist_path_latency;
-                        }
+                        let drained = acked(buffers[idx].drained_at(t), t, &self.cfg);
                         buffers[idx].ofence();
-                        prof(&mut self.profiler, idx, Bucket::FenceDrain, drained);
+                        probe.charge(idx, Bucket::FenceDrain, drained);
                         self.cores[idx].time = drained;
                         bump(&mut self.counters, Counter::DpoBarrierDrains);
                     }
@@ -1653,31 +1558,18 @@ impl System {
                 }
                 self.cores[idx].pc += 1;
             }
-            Op::Ofence => {
-                let Machinery::Hops { buffers, .. } = &mut self.machinery else {
-                    unreachable!("ofence outside HOPS programs")
-                };
-                buffers[idx].ofence();
-                bump(&mut self.counters, Counter::HopsOfences);
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
-                self.cores[idx].time = t + one;
-                self.cores[idx].pc += 1;
-            }
             Op::Dfence => {
                 let Machinery::Hops { buffers, .. } = &mut self.machinery else {
                     unreachable!("dfence outside HOPS programs")
                 };
                 // The drain acknowledgment returns over the persist path.
-                let mut drained = buffers[idx].drained_at(t);
-                if drained > t {
-                    drained += self.cfg.persist_path_latency;
-                }
-                let joined = self.join_loads(idx, t);
+                let drained = acked(buffers[idx].drained_at(t), t, &self.cfg);
+                let joined = self.join_loads(idx, t, probe);
                 let done = drained.max(joined);
                 // Piecewise by binding constraint: join_loads charged
                 // [t, joined] to the slowest load's level; the drain
                 // tail beyond that is fence time.
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                probe.charge(idx, Bucket::FenceDrain, done);
                 self.cores[idx].time = done;
                 bump(&mut self.counters, Counter::HopsDfences);
                 self.cores[idx].pc += 1;
@@ -1688,54 +1580,38 @@ impl System {
                 };
                 // The drain acknowledgment returns over the persist path;
                 // with multiple routes, wait for them all.
-                let mut drained = paths[idx]
-                    .iter()
-                    .map(|p| p.drained_at(t))
-                    .max()
-                    .unwrap_or(t);
-                if drained > t {
-                    drained += self.cfg.persist_path_latency;
-                }
-                let joined = self.join_loads(idx, t);
+                let drained = paths[idx].iter().map(|p| p.drained_at(t)).max();
+                let drained = acked(drained.unwrap_or(t), t, &self.cfg);
+                let joined = self.join_loads(idx, t, probe);
                 let done = drained.max(joined);
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                probe.charge(idx, Bucket::FenceDrain, done);
                 self.cores[idx].time = done;
                 bump(&mut self.counters, Counter::SpecBarriers);
                 self.cores[idx].pc += 1;
             }
-            Op::SpecAssign => {
-                let Machinery::PmemSpec { counter, .. } = &mut self.machinery else {
-                    unreachable!("spec-assign outside PMEM-Spec programs")
-                };
-                self.cores[idx].spec_tag = Some(*counter);
-                *counter += 1;
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
-                self.cores[idx].time = t + one;
-                self.cores[idx].pc += 1;
-            }
-            Op::SpecRevoke => {
-                self.cores[idx].spec_tag = None;
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
-                self.cores[idx].time = t + one;
-                self.cores[idx].pc += 1;
-            }
-            Op::NewStrand => {
-                let Machinery::StrandWeaver { buffers } = &mut self.machinery else {
-                    unreachable!("new-strand outside StrandWeaver programs")
-                };
-                buffers[idx].new_strand();
-                bump(&mut self.counters, Counter::StrandNew);
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
-                self.cores[idx].time = t + one;
-                self.cores[idx].pc += 1;
-            }
-            Op::StrandBarrier => {
-                let Machinery::StrandWeaver { buffers } = &mut self.machinery else {
-                    unreachable!("persist-barrier outside StrandWeaver programs")
-                };
-                buffers[idx].strand_barrier();
-                bump(&mut self.counters, Counter::StrandBarriers);
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+            Op::Ofence | Op::SpecAssign | Op::SpecRevoke | Op::NewStrand | Op::StrandBarrier => {
+                // One-cycle markers: design bookkeeping, never a wait.
+                match (op, &mut self.machinery) {
+                    (Op::Ofence, Machinery::Hops { buffers, .. }) => {
+                        buffers[idx].ofence();
+                        bump(&mut self.counters, Counter::HopsOfences);
+                    }
+                    (Op::SpecAssign, Machinery::PmemSpec { counter, .. }) => {
+                        self.cores[idx].spec_tag = Some(*counter);
+                        *counter += 1;
+                    }
+                    (Op::SpecRevoke, _) => self.cores[idx].spec_tag = None,
+                    (Op::NewStrand, Machinery::StrandWeaver { buffers }) => {
+                        buffers[idx].new_strand();
+                        bump(&mut self.counters, Counter::StrandNew);
+                    }
+                    (Op::StrandBarrier, Machinery::StrandWeaver { buffers }) => {
+                        buffers[idx].strand_barrier();
+                        bump(&mut self.counters, Counter::StrandBarriers);
+                    }
+                    _ => unreachable!("{op} outside the programs of its design"),
+                }
+                probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
             }
@@ -1744,13 +1620,10 @@ impl System {
                     unreachable!("join-strand outside StrandWeaver programs")
                 };
                 // The drain acknowledgment returns over the path.
-                let mut joined = buffers[idx].joined_at(t);
-                if joined > t {
-                    joined += self.cfg.persist_path_latency;
-                }
-                let loads = self.join_loads(idx, t);
+                let joined = acked(buffers[idx].joined_at(t), t, &self.cfg);
+                let loads = self.join_loads(idx, t, probe);
                 let done = joined.max(loads);
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                probe.charge(idx, Bucket::FenceDrain, done);
                 self.cores[idx].time = done;
                 bump(&mut self.counters, Counter::StrandJoins);
                 self.cores[idx].pc += 1;
@@ -1773,7 +1646,7 @@ impl System {
                     // first (x86 locked ops are full fences), and the
                     // acquire cannot succeed before the previous release
                     // became visible.
-                    let t_loads = self.join_loads(idx, t);
+                    let t_loads = self.join_loads(idx, t, probe);
                     let store_drained = self.cores[idx].last_store_commit;
                     let t_fenced = t_loads.max(store_drained).max(free_at);
                     if t_fenced > t_loads {
@@ -1785,7 +1658,7 @@ impl System {
                         } else {
                             Bucket::FenceDrain
                         };
-                        prof(&mut self.profiler, idx, bucket, t_fenced);
+                        probe.charge(idx, bucket, t_fenced);
                     }
                     let out = self.hierarchy.access(
                         idx,
@@ -1797,25 +1670,17 @@ impl System {
                     );
                     self.record_access(out.served_from);
                     self.handle_evictions(out.dirty_pm_evictions);
-                    prof(
-                        &mut self.profiler,
-                        idx,
-                        served_bucket(out.served_from),
-                        out.completed,
-                    );
+                    probe.charge(idx, served_bucket(out.served_from), out.completed);
                     let mut done = out.completed;
                     if let Machinery::Dpo { buffers, .. } = &self.machinery {
                         // DPO orders persists at every barrier the program
                         // executes, including the acquire fence (§8.2.2);
                         // the drain acknowledgment returns over the path.
-                        let mut drained = buffers[idx].drained_at(t);
-                        if drained > t {
-                            drained += self.cfg.persist_path_latency;
-                        }
+                        let drained = acked(buffers[idx].drained_at(t), t, &self.cfg);
                         done = done.max(drained);
                         bump(&mut self.counters, Counter::DpoBarrierDrains);
                     }
-                    prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                    probe.charge(idx, Bucket::FenceDrain, done);
                     let lock_state = self.locks.get_mut(&lock).expect("just inserted");
                     lock_state.holder = Some(idx);
                     lock_state.granted = false;
@@ -1834,19 +1699,16 @@ impl System {
                 // The release store becomes visible only after all prior
                 // stores committed (TSO) and critical-section loads
                 // returned.
-                let t_loads = self.join_loads(idx, t);
+                let t_loads = self.join_loads(idx, t, probe);
                 let mut release_at = t_loads.max(self.cores[idx].last_store_commit);
                 if let Machinery::Dpo { buffers, .. } = &self.machinery {
-                    let mut drained = buffers[idx].drained_at(t);
-                    if drained > t {
-                        drained += self.cfg.persist_path_latency;
-                    }
+                    let drained = acked(buffers[idx].drained_at(t), t, &self.cfg);
                     release_at = release_at.max(drained);
                     bump(&mut self.counters, Counter::DpoBarrierDrains);
                 }
                 // Store-queue drain (TSO release order) and the DPO
                 // barrier drain are both ordering stalls.
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, release_at);
+                probe.charge(idx, Bucket::FenceDrain, release_at);
                 let line = self.locks.get(&lock).expect("unlocking unknown lock").line;
                 let out = self.hierarchy.access(
                     idx,
@@ -1859,19 +1721,14 @@ impl System {
                 self.record_access(out.served_from);
                 self.handle_evictions(out.dirty_pm_evictions);
                 let done = out.completed;
-                prof(
-                    &mut self.profiler,
-                    idx,
-                    served_bucket(out.served_from),
-                    done,
-                );
+                probe.charge(idx, served_bucket(out.served_from), done);
                 let pos = self.cores[idx]
                     .held_locks
                     .iter()
                     .position(|&l| l == lock)
                     .expect("unlocking a lock not held");
                 self.cores[idx].held_locks.remove(pos);
-                self.release_lock(lock, idx, done);
+                self.release_lock(lock, idx, done, probe);
                 self.cores[idx].time = done;
                 self.cores[idx].pc += 1;
             }
@@ -1886,7 +1743,7 @@ impl System {
                 core.checkpoint = Some((core.pc, core.shadow.len(), core.held_locks.len()));
                 core.time = t + one;
                 core.pc += 1;
-                prof(&mut self.profiler, idx, Bucket::Checkpoint, t + one);
+                probe.charge(idx, Bucket::Checkpoint, t + one);
                 bump(&mut self.counters, Counter::FaseCheckpoints);
             }
             Op::FaseBegin { .. } => {
@@ -1902,11 +1759,11 @@ impl System {
                 core.pc += 1;
             }
             Op::FaseEnd { .. } => {
-                let joined = self.join_loads(idx, t);
+                let joined = self.join_loads(idx, t, probe);
                 self.cores[idx].time = joined;
                 if self.cores[idx].misspec_flag {
                     // Lazy recovery: roll back at the commit point.
-                    self.abort_fase(idx);
+                    self.abort_fase(idx, probe);
                 } else {
                     let duration = t.saturating_since(self.cores[idx].fase_start_time);
                     self.stats.observe("fase.latency", duration);
@@ -1933,30 +1790,7 @@ impl System {
     /// recovery must handle); a FASE counts as durable only when its
     /// end-of-FASE barrier completed by `crash_at`.
     pub fn run_until(mut self, crash_at: Cycle) -> CrashOutcome {
-        let mut durable_fases = vec![0u64; self.cores.len()];
-        let mut started_fases = vec![0u64; self.cores.len()];
-        while let Some(idx) = self.next_core() {
-            if self.cores[idx].time < self.stall_until {
-                self.cores[idx].time = self.stall_until;
-            }
-            let t = self.cores[idx].time;
-            if t > crash_at {
-                break;
-            }
-            self.drain_events(t);
-            let pc = self.cores[idx].pc;
-            match self.program.thread(idx).ops().get(pc) {
-                Some(Op::FaseEnd { .. }) if !self.cores[idx].misspec_flag => {
-                    durable_fases[idx] += 1;
-                }
-                Some(Op::FaseBegin { .. }) => {
-                    started_fases[idx] += 1;
-                }
-                _ => {}
-            }
-            self.step(idx);
-        }
-        self.drain_events(crash_at);
+        let (durable_fases, started_fases) = self.run_loop(crash_at, FaseCounts::default());
         CrashOutcome {
             persistent: self.image.persistent_snapshot(),
             durable_fases,
@@ -1980,185 +1814,138 @@ impl System {
     /// # Panics
     ///
     /// Same as [`System::run`].
-    pub fn run_full(mut self) -> (RunReport, MemoryImage) {
-        self.run_loop();
-        let image = std::mem::take(&mut self.image);
-        (self.build_report(), image)
+    pub fn run_full(self) -> (RunReport, MemoryImage) {
+        let (report, image, ()) = self.run_with(());
+        (report, image)
     }
 
-    /// The main execution loop shared by every `run_*` entry point.
+    /// Runs the program to completion under `probe` and returns the
+    /// report, the final memory image, and what the probe recorded.
     ///
-    /// Dispatches to a dense loop when nothing observes execution: the
-    /// per-step instrumentation checks (occupancy sampling, eager-abort
-    /// polling, boundary logging, trace recording) exist only on the
-    /// instrumented path, and with them gone a step is exactly
-    /// schedule → drain → execute. Both paths produce identical
-    /// simulated results — instrumentation only observes.
-    fn run_loop(&mut self) {
-        let instrumented = self.profiler.is_some()
-            || self.tracer.is_some()
-            || self.boundary_log.is_some()
-            || self.spans.is_some()
-            || self.policy == RecoveryPolicy::Eager;
-        if instrumented {
-            self.run_loop_instrumented();
-        } else {
-            while let Some((idx, others_min)) = self.next_core_with_margin() {
-                // Stay on this core while it is *strictly* the earliest:
-                // re-scanning all cores per step is the dominant loop
-                // overhead, and a core typically retires several 1-cycle
-                // ops before a memory stall pushes it past its peers.
-                // Bail to a full rescan the moment the decision could
-                // differ: a tie (index order decides), or any change to
-                // the runnable set (a step can wake a waiter whose local
-                // time is arbitrary).
-                loop {
-                    if self.cores[idx].time < self.stall_until {
-                        // Speculation-buffer overflow pauses every core
-                        // (§5.3).
-                        self.cores[idx].time = self.stall_until;
-                    }
-                    let t = self.cores[idx].time;
-                    self.drain_events(t);
-                    let runnable_before = self.runnable;
-                    self.step(idx);
-                    if self.runnable != runnable_before || self.cores[idx].time >= others_min {
-                        break;
-                    }
-                }
-            }
-        }
-        self.drain_events(Cycle::MAX);
+    /// Probes observe only (see [`Probe`]), so the report and image are
+    /// byte-identical to [`System::run_full`]'s. Pass a
+    /// [`crate::profile::Profiler`] for cycle accounting, a
+    /// [`SpanTracer`] for per-FASE spans, a [`crate::TraceRecorder`] for
+    /// a Chrome trace, a [`BoundaryLog`] for crash-interesting cycles,
+    /// or a pair of probes for both.
+    ///
+    /// ```
+    /// use pmem_spec::profile::Profiler;
+    /// use pmem_spec::{System, TraceRecorder};
+    /// use pmemspec_engine::SimConfig;
+    /// use pmemspec_isa::{lower_program, AbsProgram, AbsThread, Addr, DesignKind};
+    ///
+    /// let mut t = AbsThread::new();
+    /// t.begin_fase();
+    /// t.data_write(Addr::pm(0), 7u64);
+    /// t.end_fase();
+    /// let mut p = AbsProgram::new();
+    /// p.add_thread(t);
+    /// let sys = System::new(SimConfig::asplos21(1), lower_program(DesignKind::PmemSpec, &p))?;
+    /// let (report, _, (profile, trace)) =
+    ///     sys.run_with((Profiler::default(), TraceRecorder::new(1)));
+    /// assert_eq!(profile.total_time, report.total_time);
+    /// assert!(!trace.is_empty());
+    /// # Ok::<(), pmem_spec::BuildSystemError>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Same as [`System::run`], and a [`SpanTracer`] panics when its
+    /// metadata does not describe this system's program.
+    pub fn run_with<P: Probe>(mut self, probe: P) -> (RunReport, MemoryImage, P::Output) {
+        let output = self.run_loop(Cycle::MAX, probe);
+        let image = std::mem::take(&mut self.image);
+        (self.build_report(), image, output)
     }
 
-    fn run_loop_instrumented(&mut self) {
-        while let Some(idx) = self.next_core() {
-            if self.cores[idx].time < self.stall_until {
-                // Speculation-buffer overflow pauses every core (§5.3).
-                prof(&mut self.profiler, idx, Bucket::SpecPause, self.stall_until);
-                self.cores[idx].time = self.stall_until;
-            }
-            let t = self.cores[idx].time;
-            self.drain_events(t);
-            if self.profiler.is_some() {
-                self.sample_occupancy(t);
-            }
-            if self.policy == RecoveryPolicy::Eager
-                && self.cores[idx].misspec_flag
-                && self.cores[idx].in_fase
-                && self.cores[idx].flag_time <= t
-            {
-                self.abort_fase(idx);
-                if let Some(sp) = &mut self.spans {
-                    sp.on_abort(idx, t);
-                }
-                continue;
-            }
-            let pc_before = self.cores[idx].pc;
-            if self.boundary_log.is_some() {
-                let boundary = self
-                    .program
-                    .thread(idx)
-                    .ops()
-                    .get(pc_before)
-                    .is_some_and(Op::is_crash_boundary);
-                if boundary {
-                    if let Some(log) = &mut self.boundary_log {
-                        log.push(t);
-                    }
-                }
-            }
-            self.step(idx);
-            if self.tracer.is_some() {
-                self.record_step(idx, pc_before, t);
-            }
-            if self.spans.is_some() {
-                self.record_span_step(idx, pc_before, t);
-            }
-        }
+    /// Runs with per-FASE span tracing driven by the lowering metadata
+    /// `meta` (from [`pmemspec_isa::lower_program_with_meta`]),
+    /// returning the report, the aggregate cycle profile, and the
+    /// per-FASE spans. Each span's bucket sums reconcile exactly with
+    /// the profile for the cycles it covers.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`System::run_with`] with a [`SpanTracer`].
+    pub fn run_spans(self, meta: &ProgramMeta) -> (RunReport, ProfileReport, SpanReport) {
+        let (report, _, (profile, spans)) = self.run_with(SpanTracer::new(meta));
+        (report, profile, spans)
     }
 
-    /// Feeds the just-executed instruction to the span tracer: opens a
-    /// span at `FaseBegin` (or records a post-abort retry), closes it
-    /// at a committing `FaseEnd` (one that left the core inside its
-    /// FASE was a lazy abort instead), and records a phase transition
-    /// for everything in between. Observes only — reads the profiler's
-    /// counters and the core's clock, writes neither.
-    fn record_span_step(&mut self, idx: usize, pc_before: usize, start: Cycle) {
-        let Some(role) = self.spans.as_ref().and_then(|sp| sp.role(idx, pc_before)) else {
-            return;
-        };
-        match role {
-            OpRole::FaseBegin => {
-                let Some(&Op::FaseBegin { fase }) = self.program.thread(idx).ops().get(pc_before)
-                else {
-                    return;
-                };
-                let snap = self
-                    .profiler
-                    .as_ref()
-                    .expect("span tracing implies profiling")
-                    .core_buckets(idx);
-                if let Some(sp) = &mut self.spans {
-                    sp.on_begin(idx, fase, start, snap);
+    /// Runs to completion recording every *crash-interesting* cycle
+    /// (see [`BoundaryLog`]), sorted and deduplicated.
+    ///
+    /// Crash-point samplers use this to weight crash cycles toward the
+    /// moments where the reachable persisted state changes shape, instead
+    /// of sampling blind over `[0, total_time]`.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`System::run`].
+    pub fn run_boundaries(self) -> (RunReport, Vec<Cycle>) {
+        let (report, _, log) = self.run_with(BoundaryLog::default());
+        (report, log)
+    }
+
+    /// The one run loop behind every entry point: runs until every
+    /// thread finishes or the earliest core passes `until`, then applies
+    /// the controller events due by `until`.
+    ///
+    /// Each step schedules the earliest runnable core, drains the
+    /// controller events due by its clock, and executes one instruction
+    /// — or, under eager recovery, aborts the core's FASE once its
+    /// misspeculation signal has arrived (§6.2.2). The loop stays on the
+    /// scheduled core while it remains *strictly* the earliest:
+    /// re-scanning all cores per step is the dominant loop overhead, and
+    /// a core typically retires several 1-cycle ops before a memory stall
+    /// pushes it past its peers. It re-scans the moment the decision
+    /// could differ: a tie (index order decides), or any change to the
+    /// runnable set (a step can wake a waiter whose local time is
+    /// arbitrary). The step order is therefore exactly a full rescan's.
+    fn run_loop<P: Probe>(&mut self, until: Cycle, mut probe: P) -> P::Output {
+        probe.start(self);
+        let eager = self.policy == RecoveryPolicy::Eager;
+        'run: while let Some((idx, others_min)) = self.next_core() {
+            loop {
+                if self.cores[idx].time < self.stall_until {
+                    // Speculation-buffer overflow pauses every core
+                    // (§5.3).
+                    probe.charge(idx, Bucket::SpecPause, self.stall_until);
+                    self.cores[idx].time = self.stall_until;
                 }
-            }
-            OpRole::FaseEnd => {
-                if self.cores[idx].in_fase {
-                    // The commit point found the misspeculation flag
-                    // set: this step was a lazy abort, not a commit.
-                    if let Some(sp) = &mut self.spans {
-                        sp.on_abort(idx, start);
-                    }
+                let t = self.cores[idx].time;
+                if t > until {
+                    break 'run;
+                }
+                self.drain_events(t, &mut probe);
+                probe.drained(self, t);
+                let runnable_before = self.runnable;
+                let core = &self.cores[idx];
+                if eager && core.misspec_flag && core.in_fase && core.flag_time <= t {
+                    self.abort_fase(idx, &mut probe);
+                    probe.aborted(idx, t);
                 } else {
-                    let end = self.cores[idx].time;
-                    let snap = self
-                        .profiler
-                        .as_ref()
-                        .expect("span tracing implies profiling")
-                        .core_buckets(idx);
-                    if let Some(sp) = &mut self.spans {
-                        sp.on_commit(idx, end, snap);
-                    }
+                    let pc = core.pc;
+                    self.step(idx, &mut probe);
+                    probe.stepped(self, idx, pc, t);
                 }
-            }
-            _ => {
-                if let Some(sp) = &mut self.spans {
-                    sp.on_phase(idx, phase_of(role), start);
+                if self.runnable != runnable_before || self.cores[idx].time >= others_min {
+                    break;
                 }
             }
         }
+        self.drain_events(until, &mut probe);
+        probe.finish(self)
     }
 
-    /// Records the just-executed instruction as a trace span.
-    fn record_step(&mut self, idx: usize, pc_before: usize, start: Cycle) {
-        let Some(op) = self.program.thread(idx).ops().get(pc_before) else {
-            return;
-        };
-        let name = match op {
-            Op::Load { .. } => "ld",
-            Op::Store { .. } => "st",
-            Op::Clwb { .. } => "clwb",
-            Op::Sfence => "sfence",
-            Op::Ofence => "ofence",
-            Op::Dfence => "dfence",
-            Op::SpecBarrier => "spec-barrier",
-            Op::SpecAssign => "spec-assign",
-            Op::SpecRevoke => "spec-revoke",
-            Op::NewStrand => "new-strand",
-            Op::JoinStrand => "join-strand",
-            Op::StrandBarrier => "persist-barrier",
-            Op::Compute { .. } => "compute",
-            Op::Lock { .. } => "lock",
-            Op::Unlock { .. } => "unlock",
-            Op::Checkpoint => "checkpoint",
-            Op::FaseBegin { .. } => "fase-begin",
-            Op::FaseEnd { .. } => "fase-end",
-        };
-        let end = self.cores[idx].time;
-        if let Some(tr) = &mut self.tracer {
-            tr.span(idx, name, start, end.max(start));
-        }
+    /// The machine-wide end time: the latest core clock.
+    fn total_time(&self) -> Cycle {
+        self.cores
+            .iter()
+            .map(|c| c.time)
+            .max()
+            .unwrap_or(Cycle::ZERO)
     }
 
     fn build_report(mut self) -> RunReport {
@@ -2171,12 +1958,7 @@ impl System {
                 self.stats.add(Counter::KEYS[i], n);
             }
         }
-        let total_time = self
-            .cores
-            .iter()
-            .map(|c| c.time)
-            .max()
-            .unwrap_or(Cycle::ZERO);
+        let total_time = self.total_time();
         let fases_committed = self.cores.iter().map(|c| c.committed).sum();
         let fases_aborted = self.cores.iter().map(|c| c.aborted).sum();
         let (load_det, store_det, overflows) = match &self.machinery {
@@ -2246,273 +2028,6 @@ impl System {
                 .sum(),
             stats: self.stats,
         }
-    }
-
-    /// Enables execution tracing; retrieve the recorder with
-    /// [`System::run_traced`].
-    pub fn with_trace(mut self) -> Self {
-        self.tracer = Some(TraceRecorder::new(self.cfg.cores));
-        self
-    }
-
-    /// Enables cycle accounting and occupancy sampling; retrieve the
-    /// profile with [`System::run_profiled`]. Profiling observes only —
-    /// it cannot change any simulated timestamp, so the run's
-    /// [`RunReport`] is byte-identical with or without it.
-    pub fn with_profiling(mut self) -> Self {
-        let mut names = Vec::new();
-        for i in 0..self.cfg.cores {
-            names.push(format!("core{i}.sq"));
-            names.push(format!("core{i}.mshr"));
-            match self.machinery {
-                Machinery::IntelX86 => {}
-                Machinery::Dpo { .. } | Machinery::Hops { .. } => {
-                    names.push(format!("core{i}.pb"));
-                }
-                Machinery::PmemSpec { .. } => names.push(format!("core{i}.path")),
-                Machinery::StrandWeaver { .. } => names.push(format!("core{i}.strand")),
-            }
-        }
-        for j in 0..self.pmcs.len() {
-            names.push(format!("pmc{j}.rq"));
-            names.push(format!("pmc{j}.wq"));
-            if matches!(self.machinery, Machinery::PmemSpec { .. }) {
-                names.push(format!("pmc{j}.spec"));
-            }
-        }
-        self.profiler = Some(Profiler::new(self.cfg.cores, names));
-        self
-    }
-
-    /// Enables per-FASE span tracing driven by the lowering metadata
-    /// `meta` (from [`pmemspec_isa::lower_program_with_meta`]); implies
-    /// [`System::with_profiling`], since each span's bucket waterfall
-    /// is a diff of the profiler's counters. Retrieve the spans with
-    /// [`System::run_spans`]. Like profiling, span tracing observes
-    /// only: the run's [`RunReport`] and persistent image are
-    /// byte-identical with or without it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `meta` does not describe this system's program
-    /// (thread count or per-thread op counts disagree).
-    pub fn with_span_tracing(mut self, meta: &ProgramMeta) -> Self {
-        assert_eq!(
-            meta.threads.len(),
-            self.program.thread_count(),
-            "span metadata thread count must match the program"
-        );
-        for (i, t) in meta.threads.iter().enumerate() {
-            assert_eq!(
-                t.ops.len(),
-                self.program.thread(i).ops().len(),
-                "span metadata for thread {i} must align with its op stream"
-            );
-        }
-        if self.profiler.is_none() {
-            self = self.with_profiling();
-        }
-        self.spans = Some(SpanTracer::new(meta));
-        self
-    }
-
-    /// Records any occupancy samples due by `now` (fixed cadence, with
-    /// catch-up over large time jumps).
-    fn sample_occupancy(&mut self, now: Cycle) {
-        let Some(mut p) = self.profiler.take() else {
-            return;
-        };
-        while let Some(at) = p.next_sample_due(now) {
-            let values = self.occupancy_snapshot(at);
-            p.record_samples(at, &values);
-        }
-        self.profiler = Some(p);
-    }
-
-    /// Queue depths at `at`, in [`System::with_profiling`]'s series
-    /// order. Read-only: every accessor used here is non-mutating.
-    fn occupancy_snapshot(&self, at: Cycle) -> Vec<u64> {
-        let mut values = Vec::new();
-        for (i, core) in self.cores.iter().enumerate() {
-            values.push(core.sq.iter().filter(|e| e.ready > at).count() as u64);
-            values.push(core.loads.iter().filter(|e| e.ready > at).count() as u64);
-            match &self.machinery {
-                Machinery::IntelX86 => {}
-                Machinery::Dpo { buffers, .. } | Machinery::Hops { buffers, .. } => {
-                    values.push(buffers[i].occupancy_at(at) as u64);
-                }
-                Machinery::PmemSpec { paths, .. } => {
-                    values.push(paths[i].iter().map(|p| p.in_flight_at(at) as u64).sum());
-                }
-                Machinery::StrandWeaver { buffers } => {
-                    values.push(buffers[i].occupancy_at(at) as u64);
-                }
-            }
-        }
-        for (j, pmc) in self.pmcs.iter().enumerate() {
-            values.push(pmc.read_queue_depth(at) as u64);
-            values.push(pmc.write_queue_depth(at) as u64);
-            if let Machinery::PmemSpec { spec, .. } = &self.machinery {
-                values.push(spec[j].occupancy_at(at) as u64);
-            }
-        }
-        values
-    }
-
-    /// Runs to completion and returns the report together with the
-    /// cycle-accounting profile. Enables profiling if
-    /// [`System::with_profiling`] was not already called.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_profiled(self) -> (RunReport, ProfileReport) {
-        let (report, _, profile) = self.run_instrumented(false);
-        (report, profile)
-    }
-
-    /// Runs with both tracing and profiling enabled, returning the
-    /// instruction trace alongside the profile — merge the profile's
-    /// occupancy series into the trace with
-    /// [`ProfileReport::add_counter_tracks`] for a timeline with queue
-    /// depths under it.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_traced_profiled(self) -> (RunReport, TraceRecorder, ProfileReport) {
-        self.run_instrumented(true)
-    }
-
-    fn run_instrumented(mut self, trace: bool) -> (RunReport, TraceRecorder, ProfileReport) {
-        if self.profiler.is_none() {
-            self = self.with_profiling();
-        }
-        if trace && self.tracer.is_none() {
-            self.tracer = Some(TraceRecorder::new(self.cfg.cores));
-        }
-        self.run_loop();
-        let profiler = self.profiler.take().expect("profiling enabled above");
-        let tracer = self.tracer.take().unwrap_or_default();
-        let final_times: Vec<Cycle> = self.cores.iter().map(|c| c.time).collect();
-        let llc_dirty = self.hierarchy.llc_dirty_pm_lines();
-        let design = self.program.design();
-        let report = self.build_report();
-        let profile = profiler.finish(design, &final_times, report.total_time, llc_dirty);
-        (report, tracer, profile)
-    }
-
-    /// Runs with per-FASE span tracing (see
-    /// [`System::with_span_tracing`], enabled here if it was not
-    /// already), returning the report, the aggregate cycle profile, and
-    /// the per-FASE spans. Each span's bucket sums reconcile exactly
-    /// with the profile for the cycles it covers.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`] and [`System::with_span_tracing`].
-    pub fn run_spans(self, meta: &ProgramMeta) -> (RunReport, ProfileReport, SpanReport) {
-        let (report, _, _, profile, spans) = self.run_span_instrumented(meta, false);
-        (report, profile, spans)
-    }
-
-    /// Like [`System::run_spans`], but also records the instruction
-    /// trace so the FASE spans can merge into it as named Perfetto
-    /// slices ([`SpanReport::add_fase_tracks`]).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run_spans`].
-    pub fn run_spans_traced(
-        self,
-        meta: &ProgramMeta,
-    ) -> (RunReport, TraceRecorder, ProfileReport, SpanReport) {
-        let (report, _, tracer, profile, spans) = self.run_span_instrumented(meta, true);
-        (report, tracer, profile, spans)
-    }
-
-    /// Like [`System::run_spans`], but also returns the final memory
-    /// image (the timing-neutrality differential tests check
-    /// persistent-state identity against an untraced run).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run_spans`].
-    pub fn run_spans_full(
-        self,
-        meta: &ProgramMeta,
-    ) -> (RunReport, MemoryImage, ProfileReport, SpanReport) {
-        let (report, image, _, profile, spans) = self.run_span_instrumented(meta, false);
-        (report, image, profile, spans)
-    }
-
-    fn run_span_instrumented(
-        mut self,
-        meta: &ProgramMeta,
-        trace: bool,
-    ) -> (
-        RunReport,
-        MemoryImage,
-        TraceRecorder,
-        ProfileReport,
-        SpanReport,
-    ) {
-        if self.spans.is_none() {
-            self = self.with_span_tracing(meta);
-        }
-        if trace && self.tracer.is_none() {
-            self.tracer = Some(TraceRecorder::new(self.cfg.cores));
-        }
-        self.run_loop();
-        let profiler = self
-            .profiler
-            .take()
-            .expect("span tracing implies profiling");
-        let tracer = self.tracer.take().unwrap_or_default();
-        let spans = self.spans.take().expect("span tracing enabled above");
-        let final_times: Vec<Cycle> = self.cores.iter().map(|c| c.time).collect();
-        let llc_dirty = self.hierarchy.llc_dirty_pm_lines();
-        let design = self.program.design();
-        let image = std::mem::take(&mut self.image);
-        let report = self.build_report();
-        let profile = profiler.finish(design, &final_times, report.total_time, llc_dirty);
-        let span_report = SpanReport::new(design, spans.finish());
-        (report, image, tracer, profile, span_report)
-    }
-
-    /// Runs to completion and returns the report together with the
-    /// recorded trace (empty unless [`System::with_trace`] was called).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_traced(mut self) -> (RunReport, TraceRecorder) {
-        self.run_loop();
-        let tracer = self.tracer.take().unwrap_or_default();
-        (self.build_report(), tracer)
-    }
-
-    /// Runs to completion recording every *crash-interesting* cycle: the
-    /// execution instant of each fence/CLWB/checkpoint/FASE marker (see
-    /// [`Op::is_crash_boundary`]) plus the arrival time of every persist
-    /// at the PM controller. The returned list is sorted and deduplicated.
-    ///
-    /// Crash-point samplers use this to weight crash cycles toward the
-    /// moments where the reachable persisted state changes shape, instead
-    /// of sampling blind over `[0, total_time]`.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_boundaries(mut self) -> (RunReport, Vec<Cycle>) {
-        if self.boundary_log.is_none() {
-            self.boundary_log = Some(Vec::new());
-        }
-        self.run_loop();
-        let mut log = self.boundary_log.take().unwrap_or_default();
-        log.sort_unstable();
-        log.dedup();
-        (self.build_report(), log)
     }
 }
 

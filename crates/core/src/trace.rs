@@ -3,8 +3,9 @@
 //! (load `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) and
 //! drop the file in).
 //!
-//! Tracing is opt-in ([`crate::System::with_trace`]); a disabled recorder
-//! costs one branch per instruction.
+//! Tracing is opt-in: a [`TraceRecorder`] is a run-loop probe (pass it
+//! to [`crate::System::run_with`]), and an untraced run compiles no
+//! tracing code at all.
 //!
 //! Lanes (`tid`s) are derived from the machine shape: cores occupy lanes
 //! `0..cores` and the PM controller the next lane, all named through

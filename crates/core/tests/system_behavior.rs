@@ -319,3 +319,28 @@ fn reports_expose_throughput() {
     assert!(a.throughput() > 0.0);
     assert!(a.speedup_over(&b) > 1.0);
 }
+
+#[test]
+fn more_cores_than_the_scheduler_holds_is_a_config_error() {
+    // The scheduler's runnable set is a 64-bit bitmap: a 65-core machine
+    // must be rejected by validation, not by a panic after it.
+    let threads = pmemspec_engine::config::MAX_CORES + 1;
+    let mut p = AbsProgram::new();
+    for _ in 0..threads {
+        p.add_thread(AbsThread::new());
+    }
+    let built = System::new(
+        SimConfig::asplos21(threads),
+        lower_program(DesignKind::PmemSpec, &p),
+    );
+    assert!(
+        matches!(built, Err(pmem_spec::BuildSystemError::Config(_))),
+        "{threads} cores must be a configuration error"
+    );
+    let mut p = AbsProgram::new();
+    for _ in 0..threads - 1 {
+        p.add_thread(AbsThread::new());
+    }
+    let report = run(DesignKind::PmemSpec, &p, threads - 1);
+    assert_eq!(report.fases_committed, 0, "the largest machine still runs");
+}

@@ -18,8 +18,12 @@ use pmemspec_engine::clock::{Cycle, Duration};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::{lower_program, DesignKind};
 use pmemspec_workloads::synthetic::load_misspec_inducer;
+use pmemspec_workloads::{Benchmark, WorkloadParams};
 
 const ITERATIONS: usize = 20;
+
+/// Evenly spaced crash points in the crash-prefix differential.
+const CRASH_POINTS: u64 = 20;
 
 fn config() -> SimConfig {
     // 25x the 20 ns default persist path: deep inside the misspeculating
@@ -94,5 +98,68 @@ fn eager_recovery_wastes_less_work_than_lazy() {
         "eager recovery ({}) should not run longer than lazy ({})",
         eager_report.total_time,
         lazy_report.total_time
+    );
+}
+
+#[test]
+fn crash_prefix_runs_recover_eagerly_under_the_eager_policy() {
+    // Fetch-based detection at 100x the default persist path: ArraySwaps
+    // misspeculates often, and eager recovery aborts far more FASEs than
+    // lazy. A crash-prefix run must step the same machine as the full
+    // run, so some crash points see a different persisted state or FASE
+    // count under the two policies.
+    let cfg = SimConfig::asplos21(2).with_persist_path_latency(Duration::from_ns(2_000));
+    let params = WorkloadParams::small(2).with_fases(20);
+    let program = lower_program(
+        DesignKind::PmemSpec,
+        &Benchmark::ArraySwaps.generate(&params).program,
+    );
+    let system = |policy| {
+        System::with_options(
+            cfg.clone(),
+            program.clone(),
+            policy,
+            DetectionMode::FetchBased,
+        )
+        .expect("valid system")
+    };
+    let (lazy_report, lazy_image) = system(RecoveryPolicy::Lazy).run_full();
+    let (eager_report, eager_image) = system(RecoveryPolicy::Eager).run_full();
+    assert!(
+        eager_report.fases_aborted > lazy_report.fases_aborted,
+        "eager ({}) must abort more FASEs than lazy ({})",
+        eager_report.fases_aborted,
+        lazy_report.fases_aborted
+    );
+
+    // A crash after the end is the full run, under either policy.
+    for (policy, report, image) in [
+        (RecoveryPolicy::Lazy, &lazy_report, &lazy_image),
+        (RecoveryPolicy::Eager, &eager_report, &eager_image),
+    ] {
+        let end = system(policy).run_until(Cycle::MAX);
+        assert_eq!(end.persistent, image.persistent_snapshot(), "{policy:?}");
+        assert_eq!(
+            end.durable_fases.iter().sum::<u64>(),
+            report.fases_committed,
+            "{policy:?}"
+        );
+    }
+
+    let total = lazy_report.total_time.max(eager_report.total_time).raw();
+    let differing = (1..=CRASH_POINTS)
+        .map(|i| Cycle::from_raw(total * i / CRASH_POINTS))
+        .filter(|&at| {
+            let lazy = system(RecoveryPolicy::Lazy).run_until(at);
+            let eager = system(RecoveryPolicy::Eager).run_until(at);
+            lazy.persistent != eager.persistent
+                || lazy.durable_fases != eager.durable_fases
+                || lazy.started_fases != eager.started_fases
+        })
+        .count();
+    assert!(
+        differing > 0,
+        "eager and lazy crash-prefix runs agree at all {CRASH_POINTS} crash points: \
+         run_until is not recovering eagerly"
     );
 }

@@ -1,14 +1,14 @@
-//! An arena-backed variant of [`TimedFifo`](crate::queue::TimedFifo).
+//! A bounded FIFO of timestamped entries on one flat ring buffer.
 //!
 //! The hardware queues on the simulator's hot path — per-core store
 //! queues, outstanding-load buffers, PM controller service ports — are
 //! small, fixed-capacity, and carry `Copy` payloads. [`ArenaFifo`]
 //! stores them in a single flat ring buffer sized exactly to capacity:
 //! one allocation for the queue's whole lifetime, no reallocation or
-//! spare-capacity growth, and entries are plain slot writes. The API
-//! mirrors `TimedFifo` one-for-one so the two are drop-in
-//! interchangeable (the randomized test below drives both with the same
-//! operation stream and asserts identical behavior).
+//! spare-capacity growth, and entries are plain slot writes. A
+//! `VecDeque`-backed `TimedFifo` survives in the test build only, as the
+//! oracle the randomized test below drives with the same operation
+//! stream, asserting identical behavior.
 //!
 //! # Examples
 //!
@@ -29,8 +29,8 @@ use crate::queue::Timed;
 
 /// A bounded FIFO of timestamped `Copy` entries in a flat ring buffer.
 ///
-/// Behaviorally identical to [`TimedFifo`](crate::queue::TimedFifo);
-/// see the module docs for when to prefer which.
+/// Behaviorally identical to the test-only `VecDeque` oracle; see the
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct ArenaFifo<T: Copy> {
     /// Ring storage. Grows by plain `push` until it reaches `capacity`

@@ -101,6 +101,10 @@ pub struct DramConfig {
     pub gap: Duration,
 }
 
+/// The most cores one simulated machine may have: the scheduler keeps
+/// its runnable cores in one `u64` bitmap.
+pub const MAX_CORES: usize = 64;
+
 /// Complete simulated-machine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
@@ -199,10 +203,16 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency
-    /// found (zero cores, mismatched line sizes, undersized queues, ...).
+    /// found (zero or more than [`MAX_CORES`] cores, mismatched line sizes, undersized queues, ...).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("core count must be positive".into());
+        }
+        if self.cores > MAX_CORES {
+            return Err(format!(
+                "{} cores exceed the simulator's {MAX_CORES}-core limit",
+                self.cores
+            ));
         }
         if self.store_queue == 0 {
             return Err("store queue must have at least one entry".into());
@@ -312,6 +322,8 @@ mod tests {
     #[test]
     fn validate_rejects_bad_configs() {
         assert!(SimConfig::asplos21(0).validate().is_err());
+        assert!(SimConfig::asplos21(MAX_CORES).validate().is_ok());
+        assert!(SimConfig::asplos21(MAX_CORES + 1).validate().is_err());
         let mut cfg = SimConfig::asplos21(8);
         cfg.store_queue = 0;
         assert!(cfg.validate().is_err());

@@ -12,7 +12,7 @@
 //! * [`wheel`], [`arena`], [`hash`] — host-performance substrates for the
 //!   simulator hot path: a calendar-queue event scheduler with
 //!   `BinaryHeap`-identical pop order, an arena-backed fixed-capacity
-//!   FIFO interchangeable with [`queue::TimedFifo`], and a fast
+//!   FIFO of [`queue::Timed`] entries, and a fast
 //!   non-cryptographic hasher for simulator-internal maps.
 //! * [`explore`] — explicit-state exploration of nondeterministic
 //!   transition systems with replayable decision traces, used by the

@@ -1,15 +1,17 @@
-//! A bounded FIFO with timestamped entries.
+//! Timestamped queue entries.
 //!
 //! Hardware queues in the simulated machine (store queues, PM controller
 //! read/write queues, persist-path FIFOs) share the same shape: fixed
 //! capacity, FIFO order, and each entry becomes *visible* to the consumer at
-//! a known cycle. [`TimedFifo`] captures that shape once.
+//! a known cycle. [`Timed`] is that entry shape;
+//! [`ArenaFifo`](crate::arena::ArenaFifo) is the queue built on it.
 
+#[cfg(test)]
 use std::collections::VecDeque;
 
 use crate::clock::Cycle;
 
-/// One entry of a [`TimedFifo`]: a payload that becomes visible at `ready`.
+/// One entry of a timed FIFO: a payload that becomes visible at `ready`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timed<T> {
     /// The cycle at which the consumer may observe/pop this entry.
@@ -18,27 +20,16 @@ pub struct Timed<T> {
     pub value: T,
 }
 
-/// A bounded FIFO of timestamped entries.
-///
-/// # Examples
-///
-/// ```
-/// use pmemspec_engine::queue::TimedFifo;
-/// use pmemspec_engine::clock::Cycle;
-///
-/// let mut q = TimedFifo::new(2);
-/// q.push(Cycle::from_raw(10), 'a').unwrap();
-/// q.push(Cycle::from_raw(5), 'b').unwrap();
-/// assert!(q.is_full());
-/// // FIFO order, not ready order:
-/// assert_eq!(q.pop_ready(Cycle::from_raw(10)), Some('a'));
-/// ```
+/// A bounded FIFO of timestamped entries on a `VecDeque`: the test
+/// oracle that [`ArenaFifo`](crate::arena::ArenaFifo) is checked against.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct TimedFifo<T> {
     entries: VecDeque<Timed<T>>,
     capacity: usize,
 }
 
+#[cfg(test)]
 impl<T> TimedFifo<T> {
     /// Creates a FIFO holding at most `capacity` entries.
     ///
@@ -51,11 +42,6 @@ impl<T> TimedFifo<T> {
             entries: VecDeque::with_capacity(capacity),
             capacity,
         }
-    }
-
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current occupancy.

@@ -7,7 +7,7 @@
 
 use std::fs::File;
 
-use pmem_spec_repro::core::System;
+use pmem_spec_repro::core::{System, TraceRecorder};
 use pmem_spec_repro::prelude::*;
 
 fn main() -> std::io::Result<()> {
@@ -17,9 +17,8 @@ fn main() -> std::io::Result<()> {
         SimConfig::asplos21(4),
         lower_program(DesignKind::PmemSpec, &generated.program),
     )
-    .expect("valid system")
-    .with_trace();
-    let (report, trace) = sys.run_traced();
+    .expect("valid system");
+    let (report, _, trace) = sys.run_with(TraceRecorder::new(4));
 
     let path = "/tmp/pmem_spec_trace.json";
     trace.write_chrome_trace(File::create(path)?)?;

@@ -3,7 +3,8 @@
 //! 1. **Timing neutrality** — span tracing observes only. A span-traced
 //!    run's `RunReport` (JSON and Display) *and* final persistent
 //!    memory image are byte-identical to the plain run's, for every
-//!    design × workload pair.
+//!    design × workload pair. `tests/probe_neutrality.rs` extends this
+//!    to every probe set.
 //! 2. **Conservation** — every committed FASE's span is a waterfall:
 //!    its per-bucket cycles sum exactly to its wall-cycles (first
 //!    `FaseBegin` to committing `FaseEnd`), and the per-core span sums
@@ -20,7 +21,7 @@
 use pmem_spec_repro::core::profile::Bucket;
 use pmem_spec_repro::core::span::SpanPhase;
 use pmem_spec_repro::core::spec_buffer::DetectionMode;
-use pmem_spec_repro::core::{RecoveryPolicy, System};
+use pmem_spec_repro::core::{RecoveryPolicy, SpanTracer, System};
 use pmem_spec_repro::isa::{lower_program_with_meta, Program, ProgramMeta};
 use pmem_spec_repro::prelude::*;
 use pmem_spec_repro::workloads::synthetic;
@@ -49,7 +50,7 @@ fn span_tracing_does_not_perturb_the_simulation() {
         for d in DesignKind::ALL_EXTENDED {
             let (program, meta) = lowered(b, d, fases_for(b));
             let (plain, plain_image) = system(program.clone()).run_full();
-            let (traced, traced_image, _, _) = system(program).run_spans_full(&meta);
+            let (traced, traced_image, _) = system(program).run_with(SpanTracer::new(&meta));
             assert_eq!(
                 plain.to_json(),
                 traced.to_json(),
