@@ -502,14 +502,16 @@ impl PartialOrd for PmcEvent {
 
 /// The PM-controller event scheduler.
 ///
-/// The default is a calendar wheel ([`EventWheel`]): event horizons here
-/// are at most a few thousand cycles (the largest latency in the model
-/// is the 500 ns trap), so nearly every event lands in the wheel's
-/// one-cycle ring buckets and push/pop are O(1). The original binary
-/// heap is kept as a selectable reference implementation; both pop in
-/// exactly (time, arrival-order) order, so every run result is
-/// identical — the equivalence suite proves it by running whole
-/// programs on each and comparing reports.
+/// The default is a calendar wheel ([`EventWheel`]): most events land
+/// within a few thousand cycles (the largest single latency in the model
+/// is the 500 ns trap) in the wheel's one-cycle ring buckets, where
+/// push/pop are O(1). Persist-path backlogs at high core counts schedule
+/// many events further ahead; those wait in the wheel's `(time, seq)`
+/// overflow heap and move into the ring as its window advances. The
+/// original binary heap is kept as a selectable reference
+/// implementation; both pop in exactly (time, arrival-order) order, so
+/// every run result is identical — the equivalence suite proves it by
+/// running whole programs on each and comparing reports.
 #[derive(Debug)]
 enum EventQueue {
     Wheel(EventWheel<PmcEventKind>),

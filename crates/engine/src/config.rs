@@ -34,19 +34,35 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly or is not a power of
-    /// two (the index function requires power-of-two sets).
+    /// Panics with the failed rule if the geometry is inconsistent (see
+    /// [`SimConfig::validate`], which reports it as an error instead).
     pub fn sets(&self) -> usize {
+        self.checked_sets().unwrap_or_else(|rule| panic!("{rule}"))
+    }
+
+    /// The set count, or the geometry rule that fails: the size must be
+    /// a whole number of lines, the lines must divide into a positive
+    /// number of ways, and the set count must be a power of two (the
+    /// index function masks the line address).
+    fn checked_sets(&self) -> Result<usize, String> {
+        if self.line_bytes == 0 || !self.size_bytes.is_multiple_of(self.line_bytes) {
+            return Err(format!(
+                "cache size {} B is not a multiple of the {} B line size",
+                self.size_bytes, self.line_bytes
+            ));
+        }
         let lines = self.size_bytes / self.line_bytes;
-        assert_eq!(
-            lines * self.line_bytes,
-            self.size_bytes,
-            "cache size must be a multiple of the line size"
-        );
+        if self.ways == 0 || !lines.is_multiple_of(self.ways) {
+            return Err(format!(
+                "{lines} cache lines do not divide into {} ways",
+                self.ways
+            ));
+        }
         let sets = lines / self.ways;
-        assert_eq!(sets * self.ways, lines, "cache lines must divide into ways");
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        sets
+        if !sets.is_power_of_two() {
+            return Err(format!("set count {sets} is not a power of two"));
+        }
+        Ok(sets)
     }
 }
 
@@ -203,7 +219,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency
-    /// found (zero or more than [`MAX_CORES`] cores, mismatched line sizes, undersized queues, ...).
+    /// found (zero or more than [`MAX_CORES`] cores, mismatched line sizes, undersized queues,
+    /// a cache geometry rule that fails, ...).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("core count must be positive".into());
@@ -235,14 +252,12 @@ impl SimConfig {
         if self.pm.controllers == 0 {
             return Err("need at least one PM controller".into());
         }
-        // sets() panics on bad geometry; surface it as an error instead.
-        let geometry_ok = std::panic::catch_unwind(|| {
-            self.l1.sets();
-            self.llc.sets();
-        });
-        if geometry_ok.is_err() {
-            return Err("cache geometry is inconsistent".into());
-        }
+        self.l1
+            .checked_sets()
+            .map_err(|rule| format!("L1: {rule}"))?;
+        self.llc
+            .checked_sets()
+            .map_err(|rule| format!("LLC: {rule}"))?;
         Ok(())
     }
 
@@ -333,6 +348,25 @@ mod tests {
         let mut cfg = SimConfig::asplos21(8);
         cfg.llc.line_bytes = 128;
         assert!(cfg.validate().is_err());
+        // Geometry errors name the level and the rule that failed.
+        let mut cfg = SimConfig::asplos21(8);
+        cfg.l1.ways = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err("L1: 1024 cache lines do not divide into 0 ways".into())
+        );
+        let mut cfg = SimConfig::asplos21(8);
+        cfg.llc.size_bytes += 32;
+        assert_eq!(
+            cfg.validate(),
+            Err("LLC: cache size 16777248 B is not a multiple of the 64 B line size".into())
+        );
+        let mut cfg = SimConfig::asplos21(8);
+        cfg.l1.size_bytes = 48 * 1024;
+        assert_eq!(
+            cfg.validate(),
+            Err("L1: set count 192 is not a power of two".into())
+        );
     }
 
     #[test]

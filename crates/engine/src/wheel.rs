@@ -3,31 +3,39 @@
 //! The simulator's PMC event queue was originally a
 //! `BinaryHeap<Reverse<(time, seq)>>`: every push and pop costs a
 //! log-time sift through a heap whose order is *almost* already known,
-//! because events are scheduled at most a few hundred cycles past the
-//! current time (the largest single latency in the ASPLOS '21 table is
-//! the 500 ns trap ≈ 1000 cycles, and a fully backlogged write port
-//! schedules completions a comparable distance ahead).
+//! because most events are scheduled at most a few hundred cycles past
+//! the current time (the largest single latency in the ASPLOS '21 table
+//! is the 500 ns trap ≈ 1000 cycles).
 //!
 //! [`EventWheel`] exploits that locality. It keeps a power-of-two ring
 //! of one-cycle buckets covering the window `[base, base + N)` where
 //! `base` is the time of the last popped event. Push is O(1): index
 //! `time & (N-1)`, append. Pop finds the next non-empty bucket with a
 //! word-scan over an occupancy bitmap — O(1) amortized because the scan
-//! resumes from `base` and events cluster tightly behind it. Events
-//! scheduled at or beyond `base + N` (rare) go to an overflow list and
-//! migrate into the ring once `base` catches up.
+//! resumes from `base` and events cluster tightly behind it.
+//!
+//! Events at or beyond `base + N` go to an overflow min-heap keyed by
+//! `(time, seq)`. They are common, not rare: a backlogged persist path
+//! at 16+ cores schedules completions thousands of cycles ahead, and a
+//! single 32-core PMEM-Spec run can push hundreds of thousands. Every
+//! time `base` moves, the heap entries that entered the window move
+//! into their buckets, so the wheel keeps one invariant: ring events
+//! lie in `[base, base + N)` and overflow events at or beyond
+//! `base + N`.
 //!
 //! # Ordering contract
 //!
 //! The wheel pops in exactly the order the `BinaryHeap` did: ascending
-//! `(time, seq)` where `seq` is the global push counter. Within a
-//! bucket every entry shares one time (the window is one bucket wide
-//! per cycle), so FIFO append order *is* seq order; the only place
-//! order must be restored explicitly is after an overflow migration,
-//! where migrated entries are merged by seq. The randomized test at the
-//! bottom checks the contract against a real `BinaryHeap` under
-//! [`SimRng`]-driven schedules, including far-future pushes that force
-//! the overflow path.
+//! `(time, seq)` where `seq` is the push order. Within a bucket every
+//! entry shares one time (the window is one bucket wide per cycle), so
+//! FIFO append order is push order as long as every overflow event for
+//! a time reaches its bucket before any ring push to that time. Eager
+//! migration guarantees it: a time goes to overflow only while it lies
+//! beyond the window, and the moment `base` brings it inside, its heap
+//! entries are linked in `(time, seq)` order, before the next push. The
+//! randomized test at the bottom checks the contract against a real
+//! `BinaryHeap` under [`SimRng`](crate::rng::SimRng)-driven schedules,
+//! including a backlog that keeps hundreds of events in overflow.
 //!
 //! # Examples
 //!
@@ -43,22 +51,24 @@
 //! assert_eq!(w.pop_next(Cycle::MAX), Some((Cycle::from_raw(20), 'b')));
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::clock::Cycle;
 
 /// Default ring size: covers 4096 cycles (≈2 µs simulated) past the
-/// last popped event, several times the largest latency any component
-/// schedules ahead, so overflow is exercised only by pathological
-/// schedules (and the tests).
+/// last popped event, several times the largest single latency any
+/// component schedules. Persist-path backlogs at high core counts
+/// still reach past it; those events wait in the overflow heap.
 const DEFAULT_BUCKETS: usize = 4096;
 
 /// Null slot index for the intrusive bucket lists.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: an event's seq stamp and payload, plus the link to
-/// the next entry of its bucket (or of the free list when vacant).
+/// One slab entry: an event's payload plus the link to the next entry
+/// of its bucket (or of the free list when vacant).
 #[derive(Debug, Clone)]
 struct Slot<T> {
-    seq: u64,
     next: u32,
     /// `None` while the slot sits on the free list.
     value: Option<T>,
@@ -79,32 +89,29 @@ pub struct EventWheel<T> {
     free: u32,
     /// Per-bucket list head; bucket `time & mask` holds the events for
     /// the unique `time` in `[base, base + N)` congruent to its index.
-    /// Within a bucket entries are in seq order.
+    /// Within a bucket entries are in push order.
     heads: Vec<u32>,
     /// Per-bucket list tail, for O(1) FIFO append.
     tails: Vec<u32>,
     /// Occupancy bitmap over buckets, one bit per bucket.
     occupied: Vec<u64>,
     mask: u64,
-    /// Raw time of the last popped event; every live event is at or
-    /// after `base`, and every ring event is before `base + N`.
+    /// Raw time of the last popped event; every ring event lies in
+    /// `[base, base + N)` and every overflow event at or beyond
+    /// `base + N`.
     base: u64,
-    /// Global push counter (the tie-break of the ordering contract).
+    /// Overflow push counter (the tie-break of the ordering contract).
     seq: u64,
-    /// Total entries, ring + overflow.
-    len: usize,
-    /// Entries currently in the ring (len minus overflow), so an empty
-    /// ring never pays a full bitmap scan.
+    /// Entries currently in the ring, so an empty ring never pays a
+    /// full bitmap scan.
     ring_len: usize,
     /// Memoized [`EventWheel::scan`] result for the current `(base,
     /// occupancy)` state: `Some((index, distance))` of the earliest ring
     /// bucket, or `None` when unknown. Keeps back-to-back `pop_next` /
     /// `next_time` calls from re-scanning the bitmap.
     cached_scan: Option<(usize, u64)>,
-    /// Events at or beyond `base + N` at push time: `(time, seq, value)`.
-    overflow: Vec<(u64, u64, T)>,
-    /// Minimum time in `overflow`; `u64::MAX` when it is empty.
-    overflow_min: u64,
+    /// Events at or beyond `base + N`: `(time, seq, slab slot)`.
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
 }
 
 impl<T> Default for EventWheel<T> {
@@ -139,38 +146,34 @@ impl<T> EventWheel<T> {
             mask: (buckets - 1) as u64,
             base: 0,
             seq: 0,
-            len: 0,
             ring_len: 0,
             cached_scan: None,
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
+            overflow: BinaryHeap::new(),
         }
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.len
+        self.ring_len + self.overflow.len()
     }
 
     /// True when no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Takes a slot from the free list (or grows the slab) and fills it.
-    fn alloc_slot(&mut self, seq: u64, value: T) -> u32 {
+    fn alloc_slot(&mut self, value: T) -> u32 {
         if self.free != NIL {
             let s = self.free;
             let slot = &mut self.slab[s as usize];
             self.free = slot.next;
-            slot.seq = seq;
             slot.next = NIL;
             slot.value = Some(value);
             s
         } else {
             let s = u32::try_from(self.slab.len()).expect("slab fits in u32");
             self.slab.push(Slot {
-                seq,
                 next: NIL,
                 value: Some(value),
             });
@@ -178,8 +181,10 @@ impl<T> EventWheel<T> {
         }
     }
 
-    /// Appends slot `s` to bucket `i`'s list and marks the bucket.
-    fn link_tail(&mut self, i: usize, s: u32) {
+    /// Appends slot `s` to the bucket of time `t` (inside the window)
+    /// and marks the bucket.
+    fn link(&mut self, t: u64, s: u32) {
+        let i = (t & self.mask) as usize;
         if self.tails[i] == NIL {
             self.heads[i] = s;
         } else {
@@ -188,6 +193,15 @@ impl<T> EventWheel<T> {
         self.tails[i] = s;
         self.occupied[i / 64] |= 1u64 << (i % 64);
         self.ring_len += 1;
+        // A known scan result stays exact under links: only a strictly
+        // earlier slot can displace it (an equal distance is the same
+        // one-cycle bucket).
+        let dist = t - self.base;
+        if let Some((_, d)) = self.cached_scan {
+            if dist < d {
+                self.cached_scan = Some((i, dist));
+            }
+        }
     }
 
     /// Schedules `value` at `time`.
@@ -203,88 +217,85 @@ impl<T> EventWheel<T> {
             t >= self.base,
             "event scheduled before the last popped event"
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
+        let s = self.alloc_slot(value);
         if t - self.base > self.mask {
-            self.overflow_min = self.overflow_min.min(t);
-            self.overflow.push((t, seq, value));
+            self.overflow.push(Reverse((t, self.seq, s)));
+            self.seq += 1;
         } else {
-            let dist = t - self.base;
-            let i = (t & self.mask) as usize;
-            let s = self.alloc_slot(seq, value);
-            self.link_tail(i, s);
-            // A known scan result stays exact under pushes: only a
-            // strictly earlier slot can displace it (an equal distance is
-            // the same one-cycle bucket).
-            if let Some((_, d)) = self.cached_scan {
-                if dist < d {
-                    self.cached_scan = Some((i, dist));
-                }
-            }
+            self.link(t, s);
         }
     }
 
     /// Pops the earliest event if its time is at or before `now`;
     /// returns the event's scheduled time alongside its payload.
     pub fn pop_next(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            self.migrate();
-            if let Some((i, dist)) = self.scan_cached() {
-                let t = self.base + dist;
+        let (i, dist) = match self.scan_cached() {
+            Some(found) => found,
+            None => {
+                // Ring empty: everything lives in overflow. Jump the
+                // window to the heap top — but only if it is poppable,
+                // because `base` must not pass a time that may still be
+                // pushed.
+                let &Reverse((t, _, _)) = self.overflow.peek()?;
                 if t > now.raw() {
                     return None;
                 }
-                let s = self.heads[i];
-                debug_assert_ne!(s, NIL, "scanned bucket is non-empty");
-                let slot = &mut self.slab[s as usize];
-                let value = slot.value.take().expect("occupied slot has a value");
-                self.heads[i] = slot.next;
-                slot.next = self.free;
-                self.free = s;
-                // Rebase to the popped time: the same bucket (distance 0
-                // from the new base) is still the earliest if non-empty;
-                // otherwise the next scan starts fresh.
-                self.cached_scan = if self.heads[i] == NIL {
-                    self.tails[i] = NIL;
-                    self.occupied[i / 64] &= !(1u64 << (i % 64));
-                    None
-                } else {
-                    Some((i, 0))
-                };
-                self.base = t;
-                self.len -= 1;
-                self.ring_len -= 1;
-                return Some((Cycle::from_raw(t), value));
+                self.advance(t);
+                self.scan_cached().expect("advance links the heap top")
             }
-            // Ring empty but len > 0: everything lives in overflow, at
-            // or beyond base + N. Jump base forward and migrate — but
-            // only if something is actually poppable, because `base`
-            // must stay at the last *popped* time (new events may still
-            // be pushed between it and the overflow).
-            debug_assert!(!self.overflow.is_empty());
-            if self.overflow_min > now.raw() {
-                return None;
-            }
-            self.base = self.overflow_min;
-            self.cached_scan = None;
+        };
+        let t = self.base + dist;
+        if t > now.raw() {
+            return None;
         }
+        let s = self.heads[i];
+        debug_assert_ne!(s, NIL, "scanned bucket is non-empty");
+        let slot = &mut self.slab[s as usize];
+        let value = slot.value.take().expect("occupied slot has a value");
+        self.heads[i] = slot.next;
+        slot.next = self.free;
+        self.free = s;
+        // Rebase to the popped time: the same bucket (distance 0 from
+        // the new base) is still the earliest if non-empty; otherwise
+        // the next scan starts fresh.
+        self.cached_scan = if self.heads[i] == NIL {
+            self.tails[i] = NIL;
+            self.occupied[i / 64] &= !(1u64 << (i % 64));
+            None
+        } else {
+            Some((i, 0))
+        };
+        self.ring_len -= 1;
+        self.advance(t);
+        Some((Cycle::from_raw(t), value))
     }
 
     /// The time of the earliest queued event, without popping it.
     pub fn next_time(&mut self) -> Option<Cycle> {
-        if self.len == 0 {
-            return None;
-        }
-        // The ring candidate and the overflow minimum are incomparable
-        // in general (overflow can hold an event *earlier* than a ring
-        // event pushed after base advanced), so take the min of both.
-        let ring = self.scan_cached().map(|(_, dist)| self.base + dist);
-        let t = ring.unwrap_or(u64::MAX).min(self.overflow_min);
+        // Every ring event precedes every overflow event.
+        let t = match self.scan_cached() {
+            Some((_, dist)) => self.base + dist,
+            None => {
+                let &Reverse((t, _, _)) = self.overflow.peek()?;
+                t
+            }
+        };
         Some(Cycle::from_raw(t))
+    }
+
+    /// Moves the window to start at `t` and links every overflow event
+    /// now inside it. The heap yields them in `(time, seq)` order, and
+    /// their buckets hold no ring pushes yet (those times were beyond
+    /// the window until now), so each bucket stays in push order.
+    fn advance(&mut self, t: u64) {
+        self.base = t;
+        while let Some(&Reverse((time, _, s))) = self.overflow.peek() {
+            if time - t > self.mask {
+                break;
+            }
+            self.overflow.pop();
+            self.link(time, s);
+        }
     }
 
     /// [`EventWheel::scan`] through the memo: skips the bitmap walk when
@@ -298,57 +309,6 @@ impl<T> EventWheel<T> {
             debug_assert!(self.cached_scan.is_some(), "non-empty ring must scan");
         }
         self.cached_scan
-    }
-
-    /// Moves overflow events whose time has entered the ring window
-    /// into their buckets, restoring seq order in any bucket touched.
-    fn migrate(&mut self) {
-        if self.overflow_min.saturating_sub(self.base) > self.mask {
-            return;
-        }
-        let mut remaining_min = u64::MAX;
-        let mut touched: Vec<usize> = Vec::new();
-        let mut k = 0;
-        while k < self.overflow.len() {
-            let t = self.overflow[k].0;
-            if t - self.base <= self.mask {
-                let (t, seq, value) = self.overflow.swap_remove(k);
-                let i = (t & self.mask) as usize;
-                let s = self.alloc_slot(seq, value);
-                self.link_tail(i, s);
-                self.cached_scan = None;
-                touched.push(i);
-            } else {
-                remaining_min = remaining_min.min(t);
-                k += 1;
-            }
-        }
-        self.overflow_min = remaining_min;
-        touched.sort_unstable();
-        touched.dedup();
-        for i in touched {
-            // All entries of a bucket share one time, so seq order is
-            // the full (time, seq) order. Unlink the bucket, sort, and
-            // relink (migration is rare; buckets are tiny).
-            let mut entries: Vec<(u64, T)> = Vec::new();
-            let mut s = self.heads[i];
-            while s != NIL {
-                let slot = &mut self.slab[s as usize];
-                entries.push((slot.seq, slot.value.take().expect("occupied slot")));
-                let next = slot.next;
-                slot.next = self.free;
-                self.free = s;
-                s = next;
-            }
-            self.ring_len -= entries.len();
-            self.heads[i] = NIL;
-            self.tails[i] = NIL;
-            entries.sort_unstable_by_key(|&(seq, _)| seq);
-            for (seq, value) in entries {
-                let s = self.alloc_slot(seq, value);
-                self.link_tail(i, s);
-            }
-        }
     }
 
     /// Finds the first occupied bucket at or after `base`'s slot,
@@ -442,9 +402,9 @@ mod tests {
 
     #[test]
     fn overflow_entry_can_precede_ring_entry() {
-        // base advances so that an overflow event's time enters the
-        // window *below* a ring event pushed later — migration must
-        // restore global order.
+        // Overflow entries pushed before a ring entry still pop after it
+        // (time beats push order), and both migrate together once the
+        // pop at 40 moves the window over them.
         let mut w = EventWheel::with_buckets(64);
         w.push(Cycle::from_raw(0), 0u32);
         w.push(Cycle::from_raw(70), 1u32); // beyond base+64: overflow
@@ -485,70 +445,105 @@ mod tests {
         assert_eq!(w.pop_next(Cycle::MAX), Some((Cycle::from_raw(100), 2)));
     }
 
-    /// The contract test: a SimRng-driven schedule of interleaved
+    /// The contract test: SimRng-driven schedules of interleaved
     /// pushes and drains, replayed against the reference heap. Small
-    /// ring so overflow and migration are constantly exercised.
+    /// ring so overflow and migration are constantly exercised. The
+    /// mixed schedule pushes mostly near `now`; the backlog schedule
+    /// pushes mostly past the ring and drains slowly, so hundreds of
+    /// entries stay in overflow across drains, and after each drain it
+    /// pushes into the ring at the time of a queued entry that has just
+    /// migrated in (the same-time order eager migration must keep).
     #[test]
     fn randomized_equivalence_with_binary_heap() {
-        for seed in 0..8u64 {
-            let mut rng = SimRng::seed_from_u64(0x4ee1 ^ seed);
-            let mut wheel = EventWheel::with_buckets(64);
-            let mut heap = HeapRef::default();
-            let mut now = 0u64;
-            let mut floor = 0u64; // last popped time: pushes must be >= this
-            let mut next_value = 0u32;
-            for _ in 0..4000 {
-                match rng.next_u64() % 10 {
-                    // Pushes, biased near `now` with occasional far-future
-                    // times (overflow) and occasional backfill between the
-                    // pop floor and `now`.
-                    0..=5 => {
-                        let delta = match rng.next_u64() % 8 {
-                            0..=4 => rng.next_u64() % 32,
-                            5 | 6 => rng.next_u64() % 512,
-                            _ => 64 + rng.next_u64() % 4096, // force overflow
-                        };
-                        let t = floor.max(now.saturating_sub(16)) + delta;
-                        wheel.push(Cycle::from_raw(t), next_value);
-                        heap.push(t, next_value);
-                        next_value += 1;
-                    }
-                    // Drain everything up to `now`, comparing pop-for-pop.
-                    6..=8 => {
-                        now += rng.next_u64() % 128;
-                        loop {
-                            let got = wheel.pop_next(Cycle::from_raw(now));
-                            let want = heap.pop_next(now);
+        for backlog in [false, true] {
+            for seed in 0..8u64 {
+                let mut rng = SimRng::seed_from_u64(0x4ee1 ^ seed);
+                let mut wheel = EventWheel::with_buckets(64);
+                let mut heap = HeapRef::default();
+                let mut now = 0u64;
+                let mut floor = 0u64; // last popped time: pushes must be >= this
+                let mut next_value = 0u32;
+                let mut peak_overflow = 0;
+                for _ in 0..4000 {
+                    match rng.next_u64() % 10 {
+                        // Pushes. Mixed: biased near `now` with occasional
+                        // far-future times (overflow) and occasional
+                        // backfill between the pop floor and `now`.
+                        // Backlog: three in four land beyond the ring.
+                        0..=5 => {
+                            let delta = match (backlog, rng.next_u64() % 8) {
+                                (false, 0..=4) => rng.next_u64() % 32,
+                                (false, 5 | 6) => rng.next_u64() % 512,
+                                (true, 0 | 1) => rng.next_u64() % 64,
+                                _ => 64 + rng.next_u64() % 4096, // force overflow
+                            };
+                            let t = floor.max(now.saturating_sub(16)) + delta;
+                            wheel.push(Cycle::from_raw(t), next_value);
+                            heap.push(t, next_value);
+                            next_value += 1;
+                        }
+                        // Drain everything up to `now`, comparing pop-for-pop.
+                        6..=8 => {
+                            now += rng.next_u64() % if backlog { 16 } else { 128 };
+                            loop {
+                                let got = wheel.pop_next(Cycle::from_raw(now));
+                                let want = heap.pop_next(now);
+                                assert_eq!(
+                                    got.map(|(t, v)| (t.raw(), v)),
+                                    want,
+                                    "divergence at now={now} seed={seed} backlog={backlog}"
+                                );
+                                match got {
+                                    Some((t, _)) => floor = t.raw(),
+                                    None => break,
+                                }
+                            }
                             assert_eq!(
-                                got.map(|(t, v)| (t.raw(), v)),
-                                want,
-                                "divergence at now={now} seed={seed}"
+                                wheel.next_time().map(Cycle::raw),
+                                heap.heap.peek().map(|&Reverse((t, _, _))| t)
                             );
-                            match got {
-                                Some((t, _)) => floor = t.raw(),
-                                None => break,
+                            if backlog {
+                                // Same-time ring pushes behind the entries
+                                // the drain's pops just migrated in.
+                                let migrated = heap
+                                    .heap
+                                    .iter()
+                                    .map(|&Reverse((t, _, _))| t)
+                                    .filter(|&t| t - floor <= wheel.mask)
+                                    .max();
+                                if let Some(t) = migrated {
+                                    for _ in 0..=rng.next_u64() % 3 {
+                                        wheel.push(Cycle::from_raw(t), next_value);
+                                        heap.push(t, next_value);
+                                        next_value += 1;
+                                    }
+                                }
                             }
                         }
-                        assert_eq!(
-                            wheel.next_time().map(Cycle::raw),
-                            heap.heap.peek().map(|&Reverse((t, _, _))| t)
-                        );
-                    }
-                    // Final-drain pattern (`drain_events(Cycle::MAX)`).
-                    _ => {
-                        while let Some((t, v)) = wheel.pop_next(Cycle::MAX) {
-                            assert_eq!(heap.pop_next(u64::MAX), Some((t.raw(), v)));
-                            floor = t.raw();
+                        // Final-drain pattern (`drain_events(Cycle::MAX)`).
+                        _ if !backlog => {
+                            while let Some((t, v)) = wheel.pop_next(Cycle::MAX) {
+                                assert_eq!(heap.pop_next(u64::MAX), Some((t.raw(), v)));
+                                floor = t.raw();
+                            }
+                            assert!(heap.heap.is_empty());
                         }
-                        assert!(heap.heap.is_empty());
+                        _ => {}
                     }
+                    assert_eq!(wheel.len(), heap.heap.len());
+                    peak_overflow = peak_overflow.max(wheel.overflow.len());
                 }
-                assert_eq!(wheel.len(), heap.heap.len());
+                if backlog {
+                    assert!(
+                        peak_overflow >= 200,
+                        "seed {seed}: backlog peaked at only {peak_overflow} overflow entries"
+                    );
+                }
+                while let Some((t, v)) = wheel.pop_next(Cycle::MAX) {
+                    assert_eq!(heap.pop_next(u64::MAX), Some((t.raw(), v)));
+                }
+                assert!(heap.heap.is_empty());
             }
-            while let Some((t, v)) = wheel.pop_next(Cycle::MAX) {
-                assert_eq!(heap.pop_next(u64::MAX), Some((t.raw(), v)));
-            }
-            assert!(heap.heap.is_empty());
         }
     }
 

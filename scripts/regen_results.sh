@@ -9,9 +9,9 @@
 #   PMEMSPEC_SMOKE=1   reduced grid (2 cores, 1 seed, 25 FASEs) — fast
 #                      sanity pass, NOT the checked-in numbers
 #
-# Wall time: ~4 minutes serially on one core (fig10 dominates); a
-# multi-core machine divides that by roughly its core count. Pass
-# --serial to reproduce the single-threaded run exactly.
+# Wall time: about 1 minute on a 2-vCPU host, three quarters of it in
+# fig10 (16/32/64 cores); more host cores divide that roughly by their
+# count. Pass --serial to reproduce the single-threaded run exactly.
 #
 # Every step prints its own wall time so suite-cost regressions show up
 # in CI logs per binary instead of hiding inside one opaque total.

@@ -40,9 +40,14 @@ fn end_to_end_runs_are_bit_identical() {
 /// every benchmark on the smoke grid (2 cores, 25 FASEs, seed 11), the
 /// full `RunReport` (via its `Debug` rendering, which prints every
 /// counter, histogram, and time series) and the persistent image must
-/// match byte for byte.
+/// match byte for byte. The smoke grid overflows the wheel's ring only
+/// shallowly (at most 70 events waiting at once), so two many-core
+/// PMEM-Spec points (seed 11, 10 FASEs) add deep overflow: ArraySwaps at
+/// 16 cores makes 17,298 overflow pushes and keeps up to 932 events
+/// waiting, Memcached at 32 cores 3,127 and 331.
 #[test]
 fn event_wheel_matches_reference_scheduler_on_smoke_grid() {
+    let mut points = Vec::new();
     for design in DesignKind::ALL_EXTENDED {
         for benchmark in Benchmark::ALL {
             let fases = if benchmark == Benchmark::Memcached {
@@ -50,28 +55,33 @@ fn event_wheel_matches_reference_scheduler_on_smoke_grid() {
             } else {
                 25
             };
-            let params = WorkloadParams::small(2).with_fases(fases).with_seed(11);
-            let g = benchmark.generate(&params);
-            let program = lower_program(design, &g.program);
-            let cfg = SimConfig::asplos21(2);
-            let (wheel_report, wheel_image) = System::new(cfg.clone(), program.clone())
-                .unwrap()
-                .run_full();
-            let (heap_report, heap_image) = System::new(cfg, program)
-                .unwrap()
-                .with_reference_scheduler()
-                .run_full();
-            assert_eq!(
-                format!("{wheel_report:?}"),
-                format!("{heap_report:?}"),
-                "{design}/{benchmark}: reports diverged between schedulers"
-            );
-            assert_eq!(
-                wheel_image.persistent_snapshot(),
-                heap_image.persistent_snapshot(),
-                "{design}/{benchmark}: persistent images diverged"
-            );
+            points.push((design, benchmark, 2, fases));
         }
+    }
+    points.push((DesignKind::PmemSpec, Benchmark::ArraySwaps, 16, 10));
+    points.push((DesignKind::PmemSpec, Benchmark::Memcached, 32, 10));
+    for (design, benchmark, cores, fases) in points {
+        let params = WorkloadParams::small(cores).with_fases(fases).with_seed(11);
+        let g = benchmark.generate(&params);
+        let program = lower_program(design, &g.program);
+        let cfg = SimConfig::asplos21(cores);
+        let (wheel_report, wheel_image) = System::new(cfg.clone(), program.clone())
+            .unwrap()
+            .run_full();
+        let (heap_report, heap_image) = System::new(cfg, program)
+            .unwrap()
+            .with_reference_scheduler()
+            .run_full();
+        assert_eq!(
+            format!("{wheel_report:?}"),
+            format!("{heap_report:?}"),
+            "{design}/{benchmark}/{cores} cores: reports diverged between schedulers"
+        );
+        assert_eq!(
+            wheel_image.persistent_snapshot(),
+            heap_image.persistent_snapshot(),
+            "{design}/{benchmark}/{cores} cores: persistent images diverged"
+        );
     }
 }
 
